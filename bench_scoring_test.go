@@ -2,9 +2,11 @@ package adaptiverank_test
 
 // Scoring hot-path benchmarks: the per-strategy trajectory committed in
 // BENCH_scoring.json and gated by cmd/benchgate in CI. Each strategy is
-// measured three ways — the map-based reference Score, the packed
-// single-document fast path, and the batch fast path — so the trajectory
-// shows both the absolute cost and the speedup structure. The baseline
+// measured through its three entry points — Score on a Sparse vector
+// (the *Map benchmarks, named for the map-backed weights they measured
+// before Weights became a dense slice; Score now forwards to the same
+// packed fold), ScorePacked on a packed view, and ScoreBatch — so the
+// trajectory shows what each entry point adds over the one fold. The baseline
 // file also carries the end-to-end pipeline benchmarks (see
 // bench_pipeline_test.go); regenerate it intentionally with
 //
@@ -55,12 +57,12 @@ func trainedBAgg(docs []vector.Sparse) *ranking.BAggIE {
 // its steady-state allocation budget from MemStats deltas around the
 // timed loop, recording the four gated metrics: ns/score, docs/sec,
 // allocs/op, and B/op. fn runs once before measurement so one-time costs
-// (building the dense weight mirrors) are excluded — the recorded budget
-// is the steady state the zero-alloc contract pins.
+// are excluded — the recorded budget is the steady state the zero-alloc
+// contract pins.
 func benchScoring(b *testing.B, docsPerOp int, fn func()) {
 	b.Helper()
 	recordBench(b)
-	fn() // warm: dense mirrors build on the first score after training
+	fn() // warm: exclude one-time costs from the measurement
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)

@@ -62,24 +62,19 @@ func (m *OnlineSVM) Weights() *vector.Weights { return m.w }
 // Bias returns the bias term (always 0 when UseBias is false).
 func (m *OnlineSVM) Bias() float64 { return m.bias }
 
-// Margin returns w·x + b.
-func (m *OnlineSVM) Margin(x vector.Sparse) float64 { return m.w.Dot(x) + m.bias }
+// Margin returns w·x + b: MarginPacked over x's packed view.
+func (m *OnlineSVM) Margin(x vector.Sparse) float64 { return m.MarginPacked(x.Packed()) }
 
 // Prob returns the logistic-normalized score 1/(1+exp(-(w·x+b))), the
 // committee-member score s(d) of BAgg-IE.
-func (m *OnlineSVM) Prob(x vector.Sparse) float64 {
-	return 1 / (1 + math.Exp(-m.Margin(x)))
-}
+func (m *OnlineSVM) Prob(x vector.Sparse) float64 { return m.ProbPacked(x.Packed()) }
 
-// MarginPacked returns w·x + b through the weight vector's dense-mirror
-// fast path. Bitwise identical to Margin on the Sparse equivalent of x;
-// allocation-free once the mirror is built for the current model state.
+// MarginPacked returns w·x + b, allocation-free.
 func (m *OnlineSVM) MarginPacked(x vector.Packed) float64 {
 	return m.w.MarginPacked(x, m.bias)
 }
 
-// ProbPacked is Prob over the packed fast path, with the same bitwise
-// parity and allocation guarantees as MarginPacked.
+// ProbPacked is Prob over a packed document view.
 func (m *OnlineSVM) ProbPacked(x vector.Packed) float64 {
 	return 1 / (1 + math.Exp(-m.MarginPacked(x)))
 }
@@ -118,31 +113,7 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 	if decay < 0 {
 		decay = 0
 	}
-	thresh := eta * m.Reg.L1Coeff()
-	m.shrink(decay, thresh)
-}
-
-// shrink applies w_i <- sign(w_i) * max(0, |w_i|*decay - thresh) to every
-// stored weight.
-func (m *OnlineSVM) shrink(decay, thresh float64) {
-	if decay == 1 && thresh == 0 {
-		return
-	}
-	var drop []int32
-	m.w.Range(func(i int32, v float64) {
-		nv := math.Abs(v)*decay - thresh
-		if nv <= 0 {
-			drop = append(drop, i)
-			return
-		}
-		if v < 0 {
-			nv = -nv
-		}
-		m.w.Set(i, nv)
-	})
-	for _, i := range drop {
-		m.w.Set(i, 0)
-	}
+	m.w.Shrink(decay, eta*m.Reg.L1Coeff())
 }
 
 // StepPair performs one stochastic pairwise descent update (RSVM-IE,

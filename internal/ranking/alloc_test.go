@@ -2,9 +2,9 @@ package ranking_test
 
 // Allocation-budget tests: the scoring fast paths must allocate nothing
 // in steady state. testing.AllocsPerRun runs the function once as a
-// warm-up before measuring, which absorbs the one-time dense-mirror
-// build; an explicit warm call keeps that contract visible anyway. A
-// non-zero budget here means the zero-alloc hot path regressed — the
+// warm-up before measuring, which absorbs any one-time buffer growth; an
+// explicit warm call keeps that contract visible anyway. A non-zero
+// budget here means the zero-alloc hot path regressed — the
 // same property cmd/benchgate gates in CI from the committed
 // BENCH_scoring.json trajectory.
 
@@ -41,7 +41,7 @@ func trainRanker(r ranking.Ranker, docs []vector.Sparse) {
 // warm call.
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
-	f() // warm: builds dense mirrors, grows any lazily sized buffers
+	f() // warm: grows any lazily sized buffers
 	if n := testing.AllocsPerRun(1000, f); n != 0 {
 		t.Errorf("%s allocates %.3f times per run in steady state, want 0", name, n)
 	}
@@ -76,9 +76,8 @@ func TestScoringAllocBudgets(t *testing.T) {
 		bagg.ScoreBatch(packed, out)
 	})
 
-	// The map-based Score paths are allocation-free today too; pinning
-	// them keeps the parity baseline honest (a regression there would
-	// silently widen the packed speedup).
+	// Score forwards to ScorePacked over the Sparse vector's packed view;
+	// pinning it keeps that entry point allocation-free too.
 	assertZeroAllocs(t, "RSVMIE.Score", func() {
 		rsvm.Score(docs[i%len(docs)])
 		i++
@@ -89,10 +88,10 @@ func TestScoringAllocBudgets(t *testing.T) {
 	})
 }
 
-// TestMarginPackedAllocBudget pins the Weights dense-mirror margin at
-// zero steady-state allocations, including across a mutation epoch: only
-// the first call after a mutation may allocate (the mirror rebuild), and
-// even that reuses capacity when the support did not grow.
+// TestMarginPackedAllocBudget pins the Weights margin fold at zero
+// steady-state allocations, including across a mutation: the fold reads
+// the dense weight slice directly, so a mutation leaves nothing to
+// rebuild.
 func TestMarginPackedAllocBudget(t *testing.T) {
 	docs := allocDocs(64)
 	w := vector.NewWeights()
@@ -104,11 +103,10 @@ func TestMarginPackedAllocBudget(t *testing.T) {
 		w.MarginPacked(x, 0.5)
 	})
 
-	// Mutate without growing the support: the rebuild on the next call
-	// reuses the stale mirror's capacity, so even the rebuild itself
-	// stays allocation-free (beyond the snapshot header).
+	// Mutate without growing the support: the slice is rescaled in
+	// place, so the next margin reads it as is.
 	w.Scale(0.99)
-	w.MarginPacked(x, 0) // rebuild
+	w.MarginPacked(x, 0)
 	assertZeroAllocs(t, "Weights.MarginPacked after mutation", func() {
 		w.MarginPacked(x, 0)
 	})

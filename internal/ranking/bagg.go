@@ -141,13 +141,7 @@ func appendCapped(q []vector.Sparse, x vector.Sparse, cap int) []vector.Sparse {
 }
 
 // Score implements Ranker: the sum of the members' logistic scores.
-func (b *BAggIE) Score(x vector.Sparse) float64 {
-	var s float64
-	for _, m := range b.members {
-		s += m.Prob(x)
-	}
-	return s
-}
+func (b *BAggIE) Score(x vector.Sparse) float64 { return b.ScorePacked(x.Packed()) }
 
 // Model implements Ranker: the committee's summed weight vector, which is
 // the linear direction the (locally monotone) committee score follows and

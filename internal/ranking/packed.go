@@ -5,17 +5,17 @@ import (
 	"adaptiverank/internal/vector"
 )
 
-// PackedScorer is the zero-allocation scoring fast path. Rankers that
-// implement it score vector.Packed document views without map probes or
-// per-call allocation; the pipeline's score workers detect it by type
-// assertion and fall back to Ranker.Score otherwise (RandomRanker, for
-// one, has no linear fast path).
+// PackedScorer is the zero-allocation scoring path. Rankers that
+// implement it score vector.Packed document views with no per-call
+// allocation; the pipeline's score workers detect it by type assertion
+// to batch-score, and fall back to Ranker.Score otherwise (RandomRanker,
+// for one, has no linear model).
 //
-// Contract: ScorePacked(x) must return bitwise the same float64 as
-// Score on the Sparse vector x views — the byte-identical-output and
-// worker-count-invariance guarantees of the pipeline depend on the two
-// paths being interchangeable mid-run (e.g. after a batch panic
-// fallback).
+// Contract: ScorePacked(x) returns bitwise the same float64 as Score on
+// the Sparse vector x views — for both learned rankers Score is a
+// one-line forward to ScorePacked, so the pipeline's byte-identical-output
+// and worker-count-invariance guarantees hold whichever entry point
+// scored a document (e.g. after a batch panic fallback).
 type PackedScorer interface {
 	// ScorePacked predicts the usefulness of one packed document vector.
 	ScorePacked(x vector.Packed) float64
@@ -25,22 +25,18 @@ type PackedScorer interface {
 	ScoreBatch(xs []vector.Packed, out []float64)
 }
 
-// ScorePacked implements PackedScorer: the RankSVM linear score w·x via
-// the dense-mirror margin.
+// ScorePacked implements PackedScorer: the RankSVM linear score w·x.
 func (r *RSVMIE) ScorePacked(x vector.Packed) float64 { return r.model.MarginPacked(x) }
 
-// ScoreBatch implements PackedScorer. The model's dense mirror is built
-// at most once per model state (on the first scored document), so the
-// steady-state loop is allocation-free.
+// ScoreBatch implements PackedScorer.
 func (r *RSVMIE) ScoreBatch(xs []vector.Packed, out []float64) {
 	for k, x := range xs {
-		out[k] = r.model.MarginPacked(x)
+		out[k] = r.ScorePacked(x)
 	}
 }
 
 // ScorePacked implements PackedScorer: the sum of the members' logistic
-// scores, accumulated in member order exactly as Score does, so the two
-// paths agree bitwise.
+// scores, accumulated in member order.
 func (b *BAggIE) ScorePacked(x vector.Packed) float64 {
 	var s float64
 	for _, m := range b.members {
@@ -49,23 +45,16 @@ func (b *BAggIE) ScorePacked(x vector.Packed) float64 {
 	return s
 }
 
-// ScoreBatch implements PackedScorer. The committee's 3× pass over the
-// batch shares one scratch set: the members' dense weight mirrors (built
-// once per model state) and the caller's xs/out buffers — no per-document
-// or per-member allocation.
+// ScoreBatch implements PackedScorer.
 func (b *BAggIE) ScoreBatch(xs []vector.Packed, out []float64) {
 	for k, x := range xs {
-		var s float64
-		for _, m := range b.members {
-			s += m.ProbPacked(x)
-		}
-		out[k] = s
+		out[k] = b.ScorePacked(x)
 	}
 }
 
 // FeaturesPacked returns a zero-copy packed view of d's cached feature
 // vector. The view shares the immutable cached storage: callers must
-// treat it as read-only (see vector.Packed's ownership contract).
+// treat it as read-only (see vector.Packed).
 func (f *Featurizer) FeaturesPacked(d *corpus.Document) vector.Packed {
 	return f.Features(d).Packed()
 }

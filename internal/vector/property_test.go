@@ -9,6 +9,7 @@ package vector
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -127,42 +128,64 @@ func TestPropertyNewSparseFoldsDuplicates(t *testing.T) {
 
 func TestPropertyWeightsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < propertyTrials; trial++ {
-		// Model a Weights vector against a plain dense reference.
-		const width = 48
-		w := NewWeights()
-		dense := make([]float64, width)
-		for op := 0; op < 60; op++ {
-			switch rng.Intn(4) {
-			case 0:
-				i := rng.Int31n(width)
-				v := float64(rng.Intn(9) - 4)
-				w.Set(i, v)
-				dense[i] = v
-			case 1:
-				i := rng.Int31n(width)
-				v := float64(rng.Intn(9) - 4)
-				w.Add(i, v)
-				dense[i] += v
-			case 2:
-				a := float64(rng.Intn(5) - 2)
-				x := randSparse(rng, 10, width)
-				w.AddSparse(a, x)
-				x.Range(func(i int32, v float64) { dense[i] += a * v })
-			case 3:
-				a := float64(rng.Intn(3))
-				w.Scale(a)
-				for i := range dense {
-					dense[i] *= a
+	const width = 48
+	// apply draws one random mutation and applies it to both a Weights
+	// vector and its plain dense reference.
+	apply := func(w *Weights, dense []float64) {
+		switch rng.Intn(6) {
+		case 0:
+			i := rng.Int31n(width)
+			v := float64(rng.Intn(9) - 4)
+			if v == 0 && rng.Intn(2) == 0 {
+				v = math.Copysign(0, -1) // Set(i, -0) must leave +0
+			}
+			w.Set(i, v)
+			dense[i] = v
+		case 1:
+			i := rng.Int31n(width)
+			v := float64(rng.Intn(9) - 4)
+			w.Add(i, v)
+			dense[i] += v
+		case 2:
+			a := float64(rng.Intn(5) - 2)
+			x := randSparse(rng, 10, width)
+			w.AddSparse(a, x)
+			x.Range(func(i int32, v float64) { dense[i] += a * v })
+		case 3:
+			a := float64(rng.Intn(4) - 1) // -1, 0, 1 or 2
+			w.Scale(a)
+			for i := range dense {
+				dense[i] *= a
+			}
+		default:
+			decay := []float64{0.5, 0.75, 1}[rng.Intn(3)]
+			thresh := []float64{0, 0.5, 1}[rng.Intn(3)]
+			w.Shrink(decay, thresh)
+			for i, v := range dense {
+				nv := math.Abs(v)*decay - thresh
+				if nv <= 0 {
+					dense[i] = 0
+					continue
 				}
+				if v < 0 {
+					nv = -nv
+				}
+				dense[i] = nv
 			}
 		}
-
+	}
+	// check compares w against its dense reference: entries, the +0
+	// invariant, NNZ, norms, and Range order.
+	check := func(trial int, name string, w *Weights, dense []float64) {
 		nnz := 0
 		var l1, l2 float64
 		for i, v := range dense {
-			if got := w.At(int32(i)); !approxEq(got, v) {
-				t.Fatalf("trial %d: At(%d) = %g, dense %g", trial, i, got, v)
+			got := w.At(int32(i))
+			if !approxEq(got, v) {
+				t.Fatalf("trial %d: %s.At(%d) = %g, dense %g", trial, name, i, got, v)
+			}
+			if got == 0 && math.Signbit(got) {
+				t.Fatalf("trial %d: %s.At(%d) reads -0", trial, name, i)
 			}
 			if v != 0 {
 				nnz++
@@ -170,15 +193,46 @@ func TestPropertyWeightsMatchDense(t *testing.T) {
 			l1 += math.Abs(v)
 			l2 += v * v
 		}
-		// Integer-valued ops keep everything exact, so NNZ must agree
-		// (Set/Add delete exact zeros).
+		// Every op applies the reference's own per-element arithmetic,
+		// so zeros are exact and NNZ must agree.
 		if w.NNZ() != nnz {
-			t.Fatalf("trial %d: NNZ = %d, dense %d", trial, w.NNZ(), nnz)
+			t.Fatalf("trial %d: %s.NNZ = %d, dense %d", trial, name, w.NNZ(), nnz)
 		}
 		if !approxEq(w.L1(), l1) || !approxEq(w.L2(), math.Sqrt(l2)) {
-			t.Fatalf("trial %d: norms L1=%g/%g L2=%g/%g",
-				trial, w.L1(), l1, w.L2(), math.Sqrt(l2))
+			t.Fatalf("trial %d: %s norms L1=%g/%g L2=%g/%g",
+				trial, name, w.L1(), l1, w.L2(), math.Sqrt(l2))
 		}
+		prev, seen := int32(-1), 0
+		w.Range(func(i int32, v float64) {
+			if v == 0 || i <= prev {
+				t.Fatalf("trial %d: %s.Range yielded (%d, %g) after index %d", trial, name, i, v, prev)
+			}
+			prev = i
+			seen++
+		})
+		if seen != nnz {
+			t.Fatalf("trial %d: %s.Range yielded %d entries, want %d", trial, name, seen, nnz)
+		}
+	}
+
+	for trial := 0; trial < propertyTrials; trial++ {
+		// Model a Weights vector against a plain dense reference; a
+		// clone taken mid-sequence is mutated independently from then on.
+		w := NewWeights()
+		dense := make([]float64, width)
+		var clone *Weights
+		var cloneDense []float64
+		for op := 0; op < 60; op++ {
+			if op == 30 {
+				clone, cloneDense = w.Clone(), slices.Clone(dense)
+			}
+			apply(w, dense)
+			if clone != nil {
+				apply(clone, cloneDense)
+			}
+		}
+		check(trial, "w", w, dense)
+		check(trial, "clone", clone, cloneDense)
 
 		// Dot against a random probe.
 		x := randSparse(rng, 12, width)
@@ -218,10 +272,27 @@ func TestPropertyWeightsMatchDense(t *testing.T) {
 			}
 		}
 
-		// Cosine symmetry and bounds against an independent vector.
+		// Cosine against the reference, symmetry and bounds, with an
+		// independent vector.
 		o := NewWeights()
-		o.AddSparse(1, randSparse(rng, 12, width))
+		oDense := make([]float64, width)
+		ox := randSparse(rng, 12, width)
+		o.AddSparse(1, ox)
+		ox.Range(func(i int32, v float64) { oDense[i] += v })
+		var dot, nw, no float64
+		for i := range dense {
+			dot += dense[i] * oDense[i]
+			nw += dense[i] * dense[i]
+			no += oDense[i] * oDense[i]
+		}
+		var wantCos float64
+		if nw != 0 && no != 0 {
+			wantCos = dot / (math.Sqrt(nw) * math.Sqrt(no))
+		}
 		c1, c2 := w.Cosine(o), o.Cosine(w)
+		if !approxEq(c1, wantCos) {
+			t.Fatalf("trial %d: cosine %g, dense %g", trial, c1, wantCos)
+		}
 		if !approxEq(c1, c2) {
 			t.Fatalf("trial %d: cosine asymmetric: %g vs %g", trial, c1, c2)
 		}

@@ -1,7 +1,8 @@
 // Package vector provides the sparse linear algebra used by the online
 // learners and ranking models: immutable sorted sparse vectors for document
-// feature representations, and a mutable map-backed vector for model
-// weights whose feature space grows during extraction.
+// feature representations, and a mutable dense vector, indexed by feature
+// id and grown on demand, for model weights whose feature space grows
+// during extraction.
 package vector
 
 import (
