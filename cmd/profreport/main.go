@@ -1,10 +1,10 @@
 // Command profreport reads what the profiling harness and the black
 // box write: it renders single profiles, summarizes a profile
-// directory phase by phase, diffs two recorded runs (phase wall-clock
-// deltas and regressed functions), and turns a postmortem bundle into
-// a human-readable report — all on the stdlib pprof/manifest readers
-// in internal/obs/prof and internal/obs/blackbox, no external
-// tooling required.
+// directory phase by phase (CPU samples split by their pprof phase
+// label), diffs two recorded runs (per-phase CPU deltas and regressed
+// functions), and turns a postmortem bundle into a human-readable
+// report — all on the stdlib pprof/manifest readers in internal/obs/prof
+// and internal/obs/blackbox, no external tooling required.
 //
 //	profreport -prof FILE [-n 15] [-value cpu]   top functions of one profile
 //	profreport -dir DIR [-n 15]                  per-phase report of a profile dir

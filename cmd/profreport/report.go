@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -23,32 +24,43 @@ import (
 
 // phaseOrder is the canonical rendering order; phases outside it sort
 // alphabetically after.
-var phaseOrder = map[string]int{
-	obs.SpanRun:           0,
-	obs.SpanSample:        1,
-	obs.SpanTrainInit:     2,
-	obs.SpanDetectorPrime: 3,
-	obs.SpanRank:          4,
-	obs.ProfPhaseExtract:  5,
-	obs.SpanTrainUpdate:   6,
-	obs.ProfPhaseIdle:     7,
+var phaseOrder = []string{
+	obs.SpanSample, obs.SpanTrainInit, obs.SpanDetectorPrime, obs.SpanRank,
+	obs.ProfPhaseExtract, obs.SpanTrainUpdate, obs.ProfPhaseIdle,
 }
 
-func sortPhases(phases []string) {
-	sort.Slice(phases, func(i, j int) bool {
-		oi, iok := phaseOrder[phases[i]]
-		oj, jok := phaseOrder[phases[j]]
-		switch {
-		case iok && jok:
-			return oi < oj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return phases[i] < phases[j]
+// sortedPhases returns the phases present in any of the per-phase
+// profile sets, in rendering order.
+func sortedPhases(sets ...map[string]*prof.Profile) []string {
+	var phases []string
+	for _, set := range sets {
+		for phase := range set {
+			if !slices.Contains(phases, phase) {
+				phases = append(phases, phase)
+			}
 		}
+	}
+	rank := func(phase string) int {
+		if i := slices.Index(phaseOrder, phase); i >= 0 {
+			return i
+		}
+		return len(phaseOrder)
+	}
+	sort.Slice(phases, func(i, j int) bool {
+		if ri, rj := rank(phases[i]), rank(phases[j]); ri != rj {
+			return ri < rj
+		}
+		return phases[i] < phases[j]
 	})
+	return phases
+}
+
+// cpuTotal is a profile's total CPU time (0 for nil).
+func cpuTotal(p *prof.Profile) int64 {
+	if p == nil {
+		return 0
+	}
+	return p.Total(p.ValueIndex("cpu"))
 }
 
 func formatValue(v int64, unit string) string {
@@ -116,26 +128,28 @@ func writeTop(w io.Writer, p *prof.Profile, idx int, unit string, n int) {
 	tw.Flush()
 }
 
-// loadPhaseProfiles merges every CPU window of each phase into one
-// per-phase profile.
-func loadPhaseProfiles(dir string, m *prof.Manifest) (map[string]*prof.Profile, error) {
-	byPhase := map[string][]*prof.Profile{}
+// loadDir reads a profile directory's manifest, merges every CPU window
+// and splits the samples by their phase label. Unlabelled samples —
+// outside any run, or runtime background work such as GC mark workers —
+// are reported as idle.
+func loadDir(dir string) (*prof.Manifest, map[string]*prof.Profile, error) {
+	m, err := prof.ReadManifest(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	var windows []*prof.Profile
 	for _, r := range m.ByArtifact(obs.ProfArtifactCPU) {
 		p, err := prof.ParseFile(filepath.Join(dir, r.File))
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.File, err)
+			return nil, nil, fmt.Errorf("%s: %w", r.File, err)
 		}
-		byPhase[r.Phase] = append(byPhase[r.Phase], p)
+		windows = append(windows, p)
 	}
-	out := make(map[string]*prof.Profile, len(byPhase))
-	for phase, ps := range byPhase {
-		merged, err := prof.Merge(ps...)
-		if err != nil {
-			return nil, fmt.Errorf("phase %s: %w", phase, err)
-		}
-		out[phase] = merged
+	merged, err := prof.Merge(windows...)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out, nil
+	return m, prof.SplitByLabel(merged, obs.LabelPhase, obs.ProfPhaseIdle), nil
 }
 
 func writeHeader(w io.Writer, dir string, m *prof.Manifest) {
@@ -149,14 +163,10 @@ func writeHeader(w io.Writer, dir string, m *prof.Manifest) {
 	fmt.Fprintf(w, "%s %s/%s gomaxprocs %d\n", h.Go, h.GOOS, h.GOARCH, h.GOMAXPROCS)
 }
 
-// reportDir prints the per-phase summary of one profile directory:
-// wall-clock and CPU totals per phase, then each phase's top functions.
+// reportDir prints the per-phase summary of one profile directory: CPU
+// per phase label and its share, then each phase's top functions.
 func reportDir(w io.Writer, dir string, n int) error {
-	m, err := prof.ReadManifest(dir)
-	if err != nil {
-		return err
-	}
-	profiles, err := loadPhaseProfiles(dir, m)
+	m, profiles, err := loadDir(dir)
 	if err != nil {
 		return err
 	}
@@ -165,38 +175,25 @@ func reportDir(w io.Writer, dir string, n int) error {
 	fmt.Fprintf(w, "artifacts: %d (%d cpu windows, %d snapshots)\n\n",
 		len(m.Artifacts), len(cpuRecs), len(m.Artifacts)-len(cpuRecs))
 
-	windows := m.PhaseWindows()
-	counts := map[string]int{}
-	for _, r := range cpuRecs {
-		counts[r.Phase]++
+	phases := sortedPhases(profiles)
+	var total int64
+	for _, p := range profiles {
+		total += cpuTotal(p)
 	}
-	phases := make([]string, 0, len(windows))
-	for phase := range windows {
-		phases = append(phases, phase)
-	}
-	sortPhases(phases)
-
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "phase\twindows\twall\tcpu\t")
+	fmt.Fprintln(tw, "phase\tcpu\tshare\t")
 	for _, phase := range phases {
-		var cpu int64
-		p := profiles[phase]
-		var idx int
-		if p != nil {
-			idx = p.ValueIndex("cpu")
-			cpu = p.Total(idx)
+		cpu := cpuTotal(profiles[phase])
+		share := 0.0
+		if total > 0 {
+			share = 100 * float64(cpu) / float64(total)
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t\n",
-			phase, counts[phase],
-			formatValue(windows[phase], "nanoseconds"), formatValue(cpu, "nanoseconds"))
+		fmt.Fprintf(tw, "%s\t%s\t%.1f%%\t\n", phase, formatValue(cpu, "nanoseconds"), share)
 	}
 	tw.Flush()
 
 	for _, phase := range phases {
 		p := profiles[phase]
-		if p == nil || len(p.Samples) == 0 {
-			continue
-		}
 		idx := p.ValueIndex("cpu")
 		unit := p.SampleTypes[idx].Unit
 		fmt.Fprintf(w, "\nphase %s — top %d by flat cpu\n", phase, n)
@@ -206,22 +203,14 @@ func reportDir(w io.Writer, dir string, n int) error {
 }
 
 // diffDirs prints what changed from the old run to the new one: header
-// environment drift, per-phase wall-clock deltas, and per-phase
-// function-level CPU deltas with the biggest regressions first.
+// environment drift, per-phase CPU deltas, and per-phase function-level
+// CPU deltas with the biggest regressions first.
 func diffDirs(w io.Writer, oldDir, newDir string, n int) error {
-	oldM, err := prof.ReadManifest(oldDir)
+	oldM, oldP, err := loadDir(oldDir)
 	if err != nil {
 		return err
 	}
-	newM, err := prof.ReadManifest(newDir)
-	if err != nil {
-		return err
-	}
-	oldP, err := loadPhaseProfiles(oldDir, oldM)
-	if err != nil {
-		return err
-	}
-	newP, err := loadPhaseProfiles(newDir, newM)
+	newM, newP, err := loadDir(newDir)
 	if err != nil {
 		return err
 	}
@@ -231,25 +220,12 @@ func diffDirs(w io.Writer, oldDir, newDir string, n int) error {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
 
-	oldW, newW := oldM.PhaseWindows(), newM.PhaseWindows()
-	phaseSet := map[string]bool{}
-	for phase := range oldW {
-		phaseSet[phase] = true
-	}
-	for phase := range newW {
-		phaseSet[phase] = true
-	}
-	phases := make([]string, 0, len(phaseSet))
-	for phase := range phaseSet {
-		phases = append(phases, phase)
-	}
-	sortPhases(phases)
-
-	fmt.Fprintln(w, "\nphase wall-clock (cpu windows)")
+	phases := sortedPhases(oldP, newP)
+	fmt.Fprintln(w, "\nphase cpu")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "phase\told\tnew\tdelta\t")
 	for _, phase := range phases {
-		o, nw := oldW[phase], newW[phase]
+		o, nw := cpuTotal(oldP[phase]), cpuTotal(newP[phase])
 		delta := signedValue(nw-o, "nanoseconds")
 		if o > 0 {
 			delta += fmt.Sprintf(" (%+.1f%%)", 100*float64(nw-o)/float64(o))

@@ -1,9 +1,9 @@
 package main
 
-// Golden-fixture tests: the profile directories are built from literal
-// profiles through the deterministic encoder and hand-written manifest
-// records with fixed timestamps, so the rendered reports are stable
-// byte-for-byte. Regenerate with
+// Golden-fixture tests: the profile directories are built from literal,
+// phase-labelled profiles through the deterministic encoder and
+// hand-written manifest records with fixed timestamps, so the rendered
+// reports are stable byte-for-byte. Regenerate with
 //
 //	go test ./cmd/profreport -run TestGolden -update
 
@@ -72,80 +72,77 @@ func cpuProfile(samples ...prof.Sample) *prof.Profile {
 	}
 }
 
-func sample(ns int64, stack ...string) prof.Sample {
-	return prof.Sample{Stack: stack, Values: []int64{ns / 10_000_000, ns}}
+// sample is one CPU sample of ns under the pprof label phase=<phase>;
+// an empty phase leaves the sample unlabelled.
+func sample(ns int64, phase string, stack ...string) prof.Sample {
+	s := prof.Sample{Stack: stack, Values: []int64{ns / 10_000_000, ns}}
+	if phase != "" {
+		s.Labels = map[string]string{obs.LabelPhase: phase}
+	}
+	return s
 }
 
 const (
 	fnScore   = "adaptiverank/internal/ranking.(*RSVM).Score"
 	fnDot     = "adaptiverank/internal/vector.Dot"
 	fnSort    = "sort.Sort"
-	fnRank    = "adaptiverank/internal/pipeline.(*Pipeline).rank"
+	fnRank    = "adaptiverank/internal/pipeline.(*run).rank"
 	fnExtract = "adaptiverank/internal/extract.(*Simulated).Extract"
 	fnLearn   = "adaptiverank/internal/ranking.(*RSVM).learn"
+	fnGC      = "runtime.gcBgMarkWorker"
 )
 
-// fixtureOld builds the baseline run's profile directory.
+// fixtureOld builds the baseline run's profile directory: two CPU
+// windows whose samples carry their phase as a label (the rank phase
+// spans both), one heap snapshot, and an unlabelled GC sample.
 func fixtureOld(t *testing.T, dir string) {
 	writeFixtureDir(t, dir,
 		prof.Record{RunID: "run-old", Fingerprint: "fp-old", Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 8},
 		[]prof.Record{
-			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base, T1: base + 10e6},
+			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", T0: base, T1: base + 30e6},
 			{Artifact: obs.ProfArtifactHeap, File: "0002-heap.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base + 10e6, T1: base + 10e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0003-cpu.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 10e6, T1: base + 30e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0004-cpu.pb.gz", Phase: obs.SpanRank, Span: 5, T0: base + 40e6, T1: base + 60e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0005-cpu.pb.gz", Phase: obs.ProfPhaseExtract, T0: base + 30e6, T1: base + 40e6},
+			{Artifact: obs.ProfArtifactCPU, File: "0003-cpu.pb.gz", T0: base + 30e6, T1: base + 60e6},
 		},
 		map[string]*prof.Profile{
 			"0001-cpu.pb.gz": cpuProfile(
-				sample(4e6, fnScore, fnRank),
-				sample(2e6, fnDot, fnScore, fnRank),
+				sample(4e6, obs.SpanSample, fnScore, fnRank),
+				sample(2e6, obs.SpanSample, fnDot, fnScore, fnRank),
+				sample(10e6, obs.SpanRank, fnScore, fnRank),
+				sample(6e6, obs.SpanRank, fnDot, fnScore, fnRank),
+				sample(2e6, obs.SpanRank, fnSort, fnRank),
 			),
 			"0002-heap.pb.gz": &prof.Profile{
 				SampleTypes: []prof.ValueType{{Type: "inuse_space", Unit: "bytes"}},
 				Samples:     []prof.Sample{{Stack: []string{fnScore}, Values: []int64{1 << 20}}},
 			},
 			"0003-cpu.pb.gz": cpuProfile(
-				sample(10e6, fnScore, fnRank),
-				sample(6e6, fnDot, fnScore, fnRank),
-				sample(2e6, fnSort, fnRank),
-			),
-			"0004-cpu.pb.gz": cpuProfile(
-				sample(8e6, fnScore, fnRank),
-				sample(4e6, fnDot, fnScore, fnRank),
-			),
-			"0005-cpu.pb.gz": cpuProfile(
-				sample(9e6, fnExtract),
+				sample(8e6, obs.SpanRank, fnScore, fnRank),
+				sample(4e6, obs.SpanRank, fnDot, fnScore, fnRank),
+				sample(9e6, obs.ProfPhaseExtract, fnExtract),
+				sample(1e6, "", fnGC),
 			),
 		})
 }
 
-// fixtureNew builds the current run: rank regressed (sort got hot),
-// gomaxprocs drifted, and a train-update phase appeared.
+// fixtureNew builds the current run in one CPU window: rank regressed
+// (sort got hot), gomaxprocs drifted, a train-update phase appeared, and
+// the unlabelled GC work doubled.
 func fixtureNew(t *testing.T, dir string) {
 	writeFixtureDir(t, dir,
 		prof.Record{RunID: "run-new", Fingerprint: "fp-new", Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 4},
 		[]prof.Record{
-			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base, T1: base + 11e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0002-cpu.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 11e6, T1: base + 71e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0003-cpu.pb.gz", Phase: obs.ProfPhaseExtract, T0: base + 71e6, T1: base + 80e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0004-cpu.pb.gz", Phase: obs.SpanTrainUpdate, Span: 9, T0: base + 80e6, T1: base + 95e6},
+			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", T0: base, T1: base + 95e6},
 		},
 		map[string]*prof.Profile{
 			"0001-cpu.pb.gz": cpuProfile(
-				sample(4e6, fnScore, fnRank),
-				sample(3e6, fnDot, fnScore, fnRank),
-			),
-			"0002-cpu.pb.gz": cpuProfile(
-				sample(18e6, fnScore, fnRank),
-				sample(10e6, fnDot, fnScore, fnRank),
-				sample(26e6, fnSort, fnRank),
-			),
-			"0003-cpu.pb.gz": cpuProfile(
-				sample(8e6, fnExtract),
-			),
-			"0004-cpu.pb.gz": cpuProfile(
-				sample(12e6, fnLearn),
+				sample(4e6, obs.SpanSample, fnScore, fnRank),
+				sample(3e6, obs.SpanSample, fnDot, fnScore, fnRank),
+				sample(18e6, obs.SpanRank, fnScore, fnRank),
+				sample(10e6, obs.SpanRank, fnDot, fnScore, fnRank),
+				sample(26e6, obs.SpanRank, fnSort, fnRank),
+				sample(8e6, obs.ProfPhaseExtract, fnExtract),
+				sample(12e6, obs.SpanTrainUpdate, fnLearn),
+				sample(2e6, "", fnGC),
 			),
 		})
 }
@@ -235,9 +232,9 @@ func TestGoldenBundle(t *testing.T) {
 func TestGoldenSingleProfile(t *testing.T) {
 	dir := t.TempDir()
 	p := cpuProfile(
-		sample(10e6, fnScore, fnRank),
-		sample(6e6, fnDot, fnScore, fnRank),
-		sample(2e6, fnSort, fnRank),
+		sample(10e6, obs.SpanRank, fnScore, fnRank),
+		sample(6e6, obs.SpanRank, fnDot, fnScore, fnRank),
+		sample(2e6, obs.SpanRank, fnSort, fnRank),
 	)
 	raw, err := p.Encode()
 	if err != nil {

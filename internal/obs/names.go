@@ -118,14 +118,16 @@ const (
 	PhaseStrategyObserve = "strategy-observe"
 )
 
-// Profile-phase labels: the phase attribution vocabulary of the
-// internal/obs/prof manifest. Named phase spans (SpanSample,
-// SpanTrainInit, SpanDetectorPrime, SpanRank, SpanTrainUpdate) label
-// artifacts with their own span name; the gaps are labelled explicitly:
-// ProfPhaseExtract is the document-extraction loop between phase spans
-// of an open run, ProfPhaseIdle is everything outside a run (process
-// start-up, between experiment-suite runs, shutdown).
+// Profile phases: the values of the pprof label LabelPhase that
+// internal/pipeline sets on its goroutines. The pipeline's phase helper
+// labels each named phase with its span name (SpanSample, SpanTrainInit,
+// SpanDetectorPrime, SpanRank, SpanTrainUpdate), goroutines it starts
+// inherit the label, and the rest of a run carries ProfPhaseExtract (the
+// document loop). cmd/profreport reports unlabelled CPU samples —
+// outside any run, or runtime background work such as GC mark workers —
+// as ProfPhaseIdle.
 const (
+	LabelPhase       = "phase"
 	ProfPhaseExtract = "extract"
 	ProfPhaseIdle    = "idle"
 )
@@ -137,8 +139,6 @@ const (
 	ProfArtifactHeap      = "heap"
 	ProfArtifactAllocs    = "allocs"
 	ProfArtifactGoroutine = "goroutine"
-	ProfArtifactBlock     = "block"
-	ProfArtifactMutex     = "mutex"
 	ProfArtifactMetrics   = "metrics"
 )
 

@@ -1,7 +1,7 @@
 package prof
 
 // The profile-directory manifest: one JSONL file keying every captured
-// artifact to run id, phase, span id, and wall-clock window, so profiles
+// artifact to run id, span id, and wall-clock window, so profiles
 // join against the event trace (span ids and UnixNano timestamps are the
 // same vocabulary obs.Event uses). The first record is a header carrying
 // the run identity and environment; every subsequent record describes
@@ -43,11 +43,12 @@ type Record struct {
 	GOMAXPROCS  int    `json:"gomaxprocs,omitempty"`
 
 	// Artifact fields. Artifact is an obs.ProfArtifact* kind; File is the
-	// artifact's name inside the directory; Phase is the profile-phase
-	// label (a span name, obs.ProfPhaseExtract, or obs.ProfPhaseIdle);
-	// Span is the id of the span the window is attributed to (0 when the
-	// window is outside any phase span); T0/T1 bound the capture window
-	// in UnixNano.
+	// artifact's name inside the directory. Phase and Span name the span
+	// whose boundary took a snapshot (a phase span name or obs.SpanRun;
+	// obs.ProfPhaseIdle for the start-up snapshot); CPU windows and the
+	// closing snapshot carry neither, because CPU samples carry their
+	// phase as the pprof label obs.LabelPhase. T0/T1 bound the capture
+	// window in UnixNano.
 	Artifact string `json:"artifact,omitempty"`
 	File     string `json:"file,omitempty"`
 	Phase    string `json:"phase,omitempty"`
@@ -69,16 +70,6 @@ func (m *Manifest) ByArtifact(kind string) []Record {
 		if r.Artifact == kind {
 			out = append(out, r)
 		}
-	}
-	return out
-}
-
-// PhaseWindows sums each phase's total captured CPU-window wall-clock
-// time (T1-T0 across that phase's CPU artifacts), in nanoseconds.
-func (m *Manifest) PhaseWindows() map[string]int64 {
-	out := map[string]int64{}
-	for _, r := range m.ByArtifact("cpu") {
-		out[r.Phase] += r.T1 - r.T0
 	}
 	return out
 }

@@ -2,10 +2,9 @@ package prof
 
 // Periodic runtime/metrics sampling: every numeric metric the runtime
 // exports (scheduler latencies, GC cycles, heap goal, cgo calls, ...)
-// is written as one JSONL line per sample, stamped with the wall clock
-// and the profile phase active at sample time. Consumers diff adjacent
-// lines to get per-interval deltas; cmd/profreport summarizes a few
-// headline series.
+// is written as one JSONL line per sample, stamped with the wall clock,
+// which joins it against the trace's span timeline. Consumers diff
+// adjacent lines to get per-interval deltas.
 
 import (
 	"runtime/metrics"
@@ -29,9 +28,8 @@ func metricDescs() []metricDesc {
 
 // MetricsSample is one decoded line of metrics.jsonl.
 type MetricsSample struct {
-	T     int64              `json:"t"`
-	Phase string             `json:"phase"`
-	M     map[string]float64 `json:"m"`
+	T int64              `json:"t"`
+	M map[string]float64 `json:"m"`
 }
 
 // sampleMetrics reads every tracked runtime metric and appends one
@@ -56,10 +54,7 @@ func (p *Profiler) sampleMetrics() {
 			m[s.Name] = s.Value.Float64()
 		}
 	}
-	p.mu.Lock()
-	phase := p.phaseLocked()
-	p.mu.Unlock()
-	if err := p.met.Append(MetricsSample{T: time.Now().UnixNano(), Phase: phase, M: m}); err != nil {
+	if err := p.met.Append(MetricsSample{T: time.Now().UnixNano(), M: m}); err != nil {
 		p.cErrs.Inc()
 	}
 }

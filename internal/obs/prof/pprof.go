@@ -3,7 +3,8 @@ package prof
 // A minimal, dependency-free codec for the pprof protobuf profile
 // format (profile.proto), covering exactly what the profiling harness
 // and cmd/profreport need: sample types, samples with resolved call
-// stacks, the sampling period, and the wall-clock window. The decoder
+// stacks and string labels, the sampling period, and the wall-clock
+// window. The decoder
 // reads profiles written by runtime/pprof (gzipped protobuf); the
 // encoder exists so tests and golden fixtures can construct
 // deterministic profiles without depending on runtime profiling state.
@@ -13,14 +14,16 @@ package prof
 //	Profile:   1 sample_type, 2 sample, 4 location, 5 function,
 //	           6 string_table, 9 time_nanos, 10 duration_nanos,
 //	           11 period_type, 12 period
-//	Sample:    1 location_id (repeated uint64), 2 value (repeated int64)
+//	Sample:    1 location_id (repeated uint64), 2 value (repeated int64),
+//	           3 label
+//	Label:     1 key, 2 str (string-table indices), 3 num
 //	Location:  1 id, 3 address, 4 line
 //	Line:      1 function_id
 //	Function:  1 id, 2 name (string-table index)
 //	ValueType: 1 type, 2 unit (string-table indices)
 //
-// Everything else (mappings, labels, comments) is skipped on read and
-// never written.
+// Everything else (mappings, numeric labels, comments) is skipped on
+// read and never written.
 
 import (
 	"bytes"
@@ -37,10 +40,13 @@ type ValueType struct {
 }
 
 // Sample is one call stack with its measured values. Stack holds
-// function names leaf-most first (the pprof location order).
+// function names leaf-most first (the pprof location order). Labels are
+// the sample's string labels — for CPU profiles, the pprof labels of the
+// goroutine that was running (nil when it had none).
 type Sample struct {
-	Stack  []string `json:"stack"`
-	Values []int64  `json:"values"`
+	Stack  []string          `json:"stack"`
+	Values []int64           `json:"values"`
+	Labels map[string]string `json:"labels,omitempty"`
 }
 
 // Profile is the decoded, stack-resolved form of one pprof profile.
@@ -185,11 +191,18 @@ func (r *protoReader) uint64s(wire int, dst []uint64) ([]uint64, error) {
 	return dst, nil
 }
 
-type rawValueType struct{ typ, unit int64 }
+// rawPair is a message whose fields 1 and 2 are string-table indices:
+// a ValueType (type, unit) or a Label (key, str). num records a Label's
+// field 3: numeric labels are skipped.
+type rawPair struct {
+	a, b int64
+	num  bool
+}
 
 type rawSample struct {
-	locs []uint64
-	vals []int64
+	locs   []uint64
+	vals   []int64
+	labels []rawPair
 }
 
 type rawLine struct{ funcID uint64 }
@@ -225,8 +238,8 @@ func Parse(data []byte) (*Profile, error) {
 	var (
 		r       = protoReader{b: data}
 		strtab  []string
-		rawSTs  []rawValueType
-		rawPT   rawValueType
+		rawSTs  []rawPair
+		rawPT   rawPair
 		samples []rawSample
 		locs    = map[uint64]rawLocation{}
 		funcs   = map[uint64]rawFunction{}
@@ -243,7 +256,7 @@ func Parse(data []byte) (*Profile, error) {
 			if err != nil {
 				return nil, fmt.Errorf("prof: parse value type: %w", err)
 			}
-			vt, err := parseValueType(raw)
+			vt, err := parsePair(raw)
 			if err != nil {
 				return nil, err
 			}
@@ -318,23 +331,22 @@ func Parse(data []byte) (*Profile, error) {
 		}
 		return strtab[i], nil
 	}
-	var err error
-	for _, vt := range rawSTs {
-		var t, u string
-		if t, err = str(vt.typ); err != nil {
-			return nil, err
+	pair := func(rp rawPair) (a, b string, err error) {
+		if a, err = str(rp.a); err == nil {
+			b, err = str(rp.b)
 		}
-		if u, err = str(vt.unit); err != nil {
+		return a, b, err
+	}
+	for _, vt := range rawSTs {
+		t, u, err := pair(vt)
+		if err != nil {
 			return nil, err
 		}
 		p.SampleTypes = append(p.SampleTypes, ValueType{Type: t, Unit: u})
 	}
-	if rawPT.typ != 0 || rawPT.unit != 0 {
-		var t, u string
-		if t, err = str(rawPT.typ); err != nil {
-			return nil, err
-		}
-		if u, err = str(rawPT.unit); err != nil {
+	if rawPT.a != 0 || rawPT.b != 0 {
+		t, u, err := pair(rawPT)
+		if err != nil {
 			return nil, err
 		}
 		p.PeriodType = ValueType{Type: t, Unit: u}
@@ -344,6 +356,19 @@ func Parse(data []byte) (*Profile, error) {
 	// the same order the location ids themselves use.
 	for _, rs := range samples {
 		s := Sample{Values: rs.vals}
+		for _, l := range rs.labels {
+			if l.num {
+				continue
+			}
+			k, v, err := pair(l)
+			if err != nil {
+				return nil, err
+			}
+			if s.Labels == nil {
+				s.Labels = map[string]string{}
+			}
+			s.Labels[k] = v
+		}
 		for _, lid := range rs.locs {
 			loc, ok := locs[lid]
 			if !ok {
@@ -379,34 +404,33 @@ func ParseFile(path string) (*Profile, error) {
 	return Parse(data)
 }
 
-func parseValueType(raw []byte) (rawValueType, error) {
+func parsePair(raw []byte) (rawPair, error) {
 	r := protoReader{b: raw}
-	var vt rawValueType
+	var rp rawPair
 	for !r.done() {
 		field, wire, err := r.field()
 		if err != nil {
-			return vt, fmt.Errorf("prof: parse value type: %w", err)
+			return rp, fmt.Errorf("prof: parse value type or label: %w", err)
 		}
+		var v uint64
 		switch field {
-		case 1:
-			v, err := r.varint()
-			if err != nil {
-				return vt, err
+		case 1, 2:
+			if v, err = r.varint(); err != nil {
+				return rp, err
 			}
-			vt.typ = int64(v)
-		case 2:
-			v, err := r.varint()
-			if err != nil {
-				return vt, err
+			if field == 1 {
+				rp.a = int64(v)
+			} else {
+				rp.b = int64(v)
 			}
-			vt.unit = int64(v)
 		default:
+			rp.num = rp.num || field == 3
 			if err := r.skip(wire); err != nil {
-				return vt, err
+				return rp, err
 			}
 		}
 	}
-	return vt, nil
+	return rp, nil
 }
 
 func parseSample(raw []byte) (rawSample, error) {
@@ -430,6 +454,16 @@ func parseSample(raw []byte) (rawSample, error) {
 			for _, v := range vals {
 				s.vals = append(s.vals, int64(v))
 			}
+		case 3:
+			raw, err := r.bytes()
+			if err != nil {
+				return s, err
+			}
+			l, err := parsePair(raw)
+			if err != nil {
+				return s, err
+			}
+			s.labels = append(s.labels, l)
 		default:
 			if err := r.skip(wire); err != nil {
 				return s, err
@@ -606,6 +640,17 @@ func (p *Profile) Encode() ([]byte, error) {
 			vals[i] = uint64(v)
 		}
 		sw.packed(2, vals)
+		keys := make([]string, 0, len(s.Labels))
+		for k := range s.Labels {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			var lw protoWriter
+			lw.uint(1, intern(k))
+			lw.uint(2, intern(s.Labels[k]))
+			sw.bytes(3, lw.b)
+		}
 		w.bytes(2, sw.b)
 	}
 	for i, name := range funcNames {
@@ -621,13 +666,19 @@ func (p *Profile) Encode() ([]byte, error) {
 		fw.uint(2, intern(name))
 		w.bytes(5, fw.b) // function
 	}
+	// The period type interns its strings, so it is built before the
+	// string table is written.
+	var periodType []byte
+	if p.PeriodType != (ValueType{}) {
+		periodType = valueType(p.PeriodType)
+	}
 	for _, s := range strtab {
 		w.bytes(6, []byte(s))
 	}
 	w.uint(9, uint64(p.TimeNanos))
 	w.uint(10, uint64(p.DurationNanos))
-	if p.PeriodType != (ValueType{}) {
-		w.bytes(11, valueType(p.PeriodType))
+	if periodType != nil {
+		w.bytes(11, periodType)
 	}
 	w.uint(12, uint64(p.Period))
 
@@ -691,9 +742,9 @@ func TopFuncs(p *Profile, valueIndex int) []FuncStat {
 	return out
 }
 
-// Merge concatenates the samples of several profiles into one (the
-// per-phase aggregation of cmd/profreport: all CPU windows attributed
-// to one phase merge into a single per-phase profile). Profiles must
+// Merge concatenates the samples of several profiles into one, labels
+// included (cmd/profreport merges every CPU window of a run, then splits
+// the result with SplitByLabel). Profiles must
 // share a sample-type signature; nil inputs are skipped. DurationNanos
 // accumulates; TimeNanos keeps the earliest non-zero stamp.
 func Merge(profiles ...*Profile) (*Profile, error) {
@@ -728,4 +779,26 @@ func Merge(profiles ...*Profile) (*Profile, error) {
 		return &Profile{}, nil
 	}
 	return out, nil
+}
+
+// SplitByLabel partitions p's samples by the value of one string label;
+// samples without the label go under unlabelled. Each part keeps p's
+// sample types, period and window.
+func SplitByLabel(p *Profile, key, unlabelled string) map[string]*Profile {
+	out := map[string]*Profile{}
+	for _, s := range p.Samples {
+		v, ok := s.Labels[key]
+		if !ok {
+			v = unlabelled
+		}
+		part := out[v]
+		if part == nil {
+			cp := *p
+			cp.Samples = nil
+			part = &cp
+			out[v] = part
+		}
+		part.Samples = append(part.Samples, s)
+	}
+	return out
 }

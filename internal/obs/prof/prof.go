@@ -1,18 +1,18 @@
-// Package prof is the continuous-profiling harness: phase-scoped CPU
-// profile windows, heap/allocs/goroutine/block/mutex snapshots at run
-// and phase boundaries, and periodic runtime/metrics samples, all
-// captured into one directory whose JSONL manifest keys every artifact
-// to run id, phase, span id, and wall-clock window — the join keys the
-// event trace uses, so profiles line up against spans.
+// Package prof is the continuous-profiling harness: rotating CPU profile
+// windows, heap/allocs/goroutine snapshots at run and phase
+// boundaries, and periodic runtime/metrics samples, all captured into
+// one directory whose JSONL manifest keys every artifact to run id,
+// span id, and wall-clock window — the join keys the event trace uses,
+// so profiles line up against spans.
 //
-// The harness learns phases by listening to the span stream: wire it as
-// a Tee sink next to the trace file (Profiler.Recorder), and it sees the
-// same KindSpanStart/KindSpanEnd events the trace records. A named
-// phase span (sample, train-init, detector-prime, rank, train-update)
-// opening or closing rotates the running CPU window so each window
-// belongs to exactly one phase; the gap between phase spans inside an
-// open run is attributed to obs.ProfPhaseExtract (the document loop),
-// and time outside any run to obs.ProfPhaseIdle.
+// The profiler does not track phases. internal/pipeline sets the pprof
+// label obs.LabelPhase on its goroutines (the span name inside a named
+// phase, obs.ProfPhaseExtract elsewhere in a run), so every CPU sample
+// carries its phase and cmd/profreport splits merged windows by label.
+// CPU windows rotate only on the CPUWindow timer, which bounds what a
+// crash loses. The span stream, fed in through Profiler.Recorder as a
+// Tee sink next to the trace file, only times the snapshots: run spans
+// opening and closing, and named phase spans closing.
 //
 // It is a passive observer: it never mutates events, so enabling
 // profiling cannot perturb the byte-identical trace contract.
@@ -41,17 +41,13 @@ type Options struct {
 	// header (the same string the resume journal binds to), so a profile
 	// directory is traceable to exactly one configuration.
 	Fingerprint string
-	// CPUWindow enables rotating CPU profile windows of this length.
-	// Zero disables CPU profiling; boundaries still rotate windows early,
-	// so a window never spans two phases.
+	// CPUWindow enables rotating CPU profile windows of this length; a
+	// crash loses at most the running window. Zero disables CPU
+	// profiling.
 	CPUWindow time.Duration
 	// MetricsInterval is the runtime/metrics sampling period. Zero means
 	// 5s; negative disables sampling.
 	MetricsInterval time.Duration
-	// BlockProfileRate/MutexProfileFraction, when positive, are installed
-	// at Start and the corresponding profiles captured at run boundaries.
-	BlockProfileRate     int
-	MutexProfileFraction int
 	// Registry receives the prof.* counters (nil is fine).
 	Registry *obs.Registry
 	// FS is the filesystem every profile artifact is written through;
@@ -60,18 +56,13 @@ type Options struct {
 	FS durable.FS
 }
 
-// phaseSpans is the set of span names treated as profile phases.
+// phaseSpans are the span names whose end takes a phase snapshot.
 var phaseSpans = map[string]bool{
 	obs.SpanSample:        true,
 	obs.SpanTrainInit:     true,
 	obs.SpanDetectorPrime: true,
 	obs.SpanRank:          true,
 	obs.SpanTrainUpdate:   true,
-}
-
-type phaseFrame struct {
-	id   int64
-	name string
 }
 
 // Profiler captures profiles into one directory. Create with Start,
@@ -88,16 +79,12 @@ type Profiler struct {
 	metDescs []metricDesc
 	metT0    int64
 
-	mu       sync.Mutex
-	seq      int
-	runDepth int
-	phases   []phaseFrame
-	cpuF     durable.File
-	cpuFile  string
-	cpuT0    int64
-	cpuPhase string
-	cpuSpan  int64
-	closed   bool
+	mu      sync.Mutex
+	seq     int
+	cpuF    durable.File
+	cpuFile string
+	cpuT0   int64
+	closed  bool
 
 	stop chan struct{}
 	done chan struct{}
@@ -139,12 +126,6 @@ func Start(opts Options) (*Profiler, error) {
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	if opts.BlockProfileRate > 0 {
-		runtime.SetBlockProfileRate(opts.BlockProfileRate)
-	}
-	if opts.MutexProfileFraction > 0 {
-		runtime.SetMutexProfileFraction(opts.MutexProfileFraction)
-	}
 	if opts.MetricsInterval > 0 {
 		met, err := durable.AppendJSONL(opts.FS, filepath.Join(opts.Dir, "metrics.jsonl"), "prof-metrics")
 		if err != nil {
@@ -156,7 +137,7 @@ func Start(opts Options) (*Profiler, error) {
 		p.metT0 = time.Now().UnixNano()
 	}
 	p.mu.Lock()
-	p.snapshotLocked(obs.ProfPhaseIdle, 0, snapshotBoundary(opts))
+	p.snapshotLocked(obs.ProfPhaseIdle, 0, boundarySnapshot)
 	if opts.CPUWindow > 0 {
 		p.startCPULocked()
 	}
@@ -168,18 +149,8 @@ func Start(opts Options) (*Profiler, error) {
 	return p, nil
 }
 
-// snapshotBoundary returns the profile set captured at run boundaries:
-// the full set, including block/mutex when their rates are installed.
-func snapshotBoundary(opts Options) []string {
-	kinds := []string{obs.ProfArtifactHeap, obs.ProfArtifactAllocs, obs.ProfArtifactGoroutine}
-	if opts.BlockProfileRate > 0 {
-		kinds = append(kinds, obs.ProfArtifactBlock)
-	}
-	if opts.MutexProfileFraction > 0 {
-		kinds = append(kinds, obs.ProfArtifactMutex)
-	}
-	return kinds
-}
+// boundarySnapshot is the full set captured at run boundaries.
+var boundarySnapshot = []string{obs.ProfArtifactHeap, obs.ProfArtifactAllocs, obs.ProfArtifactGoroutine}
 
 // phaseSnapshot is the cheaper set captured at every phase boundary.
 var phaseSnapshot = []string{obs.ProfArtifactHeap, obs.ProfArtifactGoroutine}
@@ -192,72 +163,28 @@ type profRecorder struct{ p *Profiler }
 
 func (r profRecorder) Enabled() bool { return true }
 
+// Record takes the full snapshot set when a run span opens or closes,
+// and a heap+goroutine snapshot when a named phase span closes.
 func (r profRecorder) Record(e obs.Event) {
-	if e.Kind != obs.KindSpanStart && e.Kind != obs.KindSpanEnd {
-		return
+	switch {
+	case e.Name == obs.SpanRun && (e.Kind == obs.KindSpanStart || e.Kind == obs.KindSpanEnd):
+		r.p.snapshot(obs.SpanRun, e.Span, boundarySnapshot)
+	case e.Kind == obs.KindSpanEnd && phaseSpans[e.Name]:
+		r.p.snapshot(e.Name, e.Span, phaseSnapshot)
 	}
-	if e.Name != obs.SpanRun && !phaseSpans[e.Name] {
-		return
-	}
-	r.p.spanEvent(e)
 }
 
-// spanEvent updates the phase state machine: CPU windows rotate at
-// every phase change (so each window maps to one phase), named phase
-// spans get a heap+goroutine snapshot when they close, and run spans
-// get the full boundary set on open and close.
-func (p *Profiler) spanEvent(e obs.Event) {
+func (p *Profiler) snapshot(phase string, span int64, kinds []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
-		return
+	if !p.closed {
+		p.snapshotLocked(phase, span, kinds)
 	}
-	switch {
-	case e.Name == obs.SpanRun && e.Kind == obs.KindSpanStart:
-		p.runDepth++
-		p.snapshotLocked(obs.SpanRun, e.Span, snapshotBoundary(p.opts))
-	case e.Name == obs.SpanRun && e.Kind == obs.KindSpanEnd:
-		if p.runDepth > 0 {
-			p.runDepth--
-		}
-		p.snapshotLocked(obs.SpanRun, e.Span, snapshotBoundary(p.opts))
-	case e.Kind == obs.KindSpanStart:
-		p.phases = append(p.phases, phaseFrame{id: e.Span, name: e.Name})
-	case e.Kind == obs.KindSpanEnd:
-		for i := len(p.phases) - 1; i >= 0; i-- {
-			if p.phases[i].id == e.Span {
-				p.phases = append(p.phases[:i], p.phases[i+1:]...)
-				break
-			}
-		}
-		p.snapshotLocked(e.Name, e.Span, phaseSnapshot)
-	}
-	if p.cpuF != nil && p.cpuPhase != p.phaseLocked() {
-		p.stopCPULocked()
-		p.startCPULocked()
-	}
-}
-
-// phaseLocked names the phase the process is in right now.
-func (p *Profiler) phaseLocked() string {
-	if n := len(p.phases); n > 0 {
-		return p.phases[n-1].name
-	}
-	if p.runDepth > 0 {
-		return obs.ProfPhaseExtract
-	}
-	return obs.ProfPhaseIdle
-}
-
-func (p *Profiler) phaseSpanLocked() int64 {
-	if n := len(p.phases); n > 0 {
-		return p.phases[n-1].id
-	}
-	return 0
 }
 
 // snapshotLocked captures one profile file per kind, attributed to the
-// given phase and span.
+// given phase and span (both empty for the closing snapshot, which may
+// land anywhere).
 func (p *Profiler) snapshotLocked(phase string, span int64, kinds []string) {
 	now := time.Now().UnixNano()
 	for _, kind := range kinds {
@@ -290,8 +217,7 @@ func (p *Profiler) snapshotLocked(phase string, span int64, kinds []string) {
 	}
 }
 
-// startCPULocked opens the next CPU window, stamping it with the
-// current phase. On failure (another CPU profile active, disk error)
+// startCPULocked opens the next CPU window. On failure (another CPU profile active, disk error)
 // it counts the error and leaves the window off; the next rotation
 // retries.
 func (p *Profiler) startCPULocked() {
@@ -311,12 +237,10 @@ func (p *Profiler) startCPULocked() {
 	p.cpuF = f
 	p.cpuFile = name
 	p.cpuT0 = time.Now().UnixNano()
-	p.cpuPhase = p.phaseLocked()
-	p.cpuSpan = p.phaseSpanLocked()
 }
 
 // stopCPULocked closes the running CPU window and records it in the
-// manifest under the phase that was active when it started.
+// manifest.
 func (p *Profiler) stopCPULocked() {
 	if p.cpuF == nil {
 		return
@@ -330,8 +254,7 @@ func (p *Profiler) stopCPULocked() {
 	}
 	p.cWindows.Inc()
 	if err := p.man.append(Record{
-		Artifact: obs.ProfArtifactCPU, File: p.cpuFile, Phase: p.cpuPhase,
-		Span: p.cpuSpan, T0: p.cpuT0, T1: time.Now().UnixNano(),
+		Artifact: obs.ProfArtifactCPU, File: p.cpuFile, T0: p.cpuT0, T1: time.Now().UnixNano(),
 	}); err != nil {
 		p.cErrs.Inc()
 	}
@@ -382,8 +305,7 @@ func (p *Profiler) Close() error {
 	p.closed = true
 	close(p.stop)
 	p.stopCPULocked()
-	phase, span := p.phaseLocked(), p.phaseSpanLocked()
-	p.snapshotLocked(phase, span, snapshotBoundary(p.opts))
+	p.snapshotLocked("", 0, boundarySnapshot)
 	p.mu.Unlock()
 	<-p.done
 
@@ -405,6 +327,3 @@ func (p *Profiler) Close() error {
 	}
 	return err
 }
-
-// Dir returns the profile directory.
-func (p *Profiler) Dir() string { return p.opts.Dir }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -203,8 +204,9 @@ func Run(opts Options) (*Result, error) {
 // drains gracefully — the in-flight document finishes (or aborts), the
 // journal and trace stay flushed, and the partial result is returned
 // with Interrupted set rather than an error, so callers can checkpoint
-// what was done.
-func RunContext(ctx context.Context, opts Options) (*Result, error) {
+// what was done. The run carries the pprof label phase=extract, which
+// each named phase overrides (see run.phase).
+func RunContext(ctx context.Context, opts Options) (res *Result, err error) {
 	if opts.Coll == nil || opts.Labels == nil || opts.Strategy == nil {
 		return nil, fmt.Errorf("pipeline: Coll, Labels, and Strategy are required")
 	}
@@ -218,15 +220,62 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.RequeueLimit <= 0 {
 		opts.RequeueLimit = 3
 	}
-	res := &Result{Strategy: opts.Strategy.Name()}
 	if opts.ExtractionCost == 0 {
 		opts.ExtractionCost = opts.Rel.ExtractionCost()
 	}
+	pprof.Do(ctx, pprof.Labels(obs.LabelPhase, obs.ProfPhaseExtract), func(ctx context.Context) {
+		r := newRun(ctx, opts)
+		if r.sample() {
+			r.trainInit()
+			r.primeDetector()
+			r.buildPool()
+			r.rank()
+			r.process()
+		}
+		res, err = r.finish()
+	})
+	return res, err
+}
 
-	// --- Observability setup -----------------------------------------
-	// A nil registry hands out shared no-op instruments and the no-op
-	// recorder reports Enabled() == false, so the un-instrumented path
-	// stays allocation-free.
+// run is the state of one RunContext execution: one method per Figure 2
+// phase.
+type run struct {
+	ctx  context.Context // carries the phase=extract pprof label
+	opts Options
+	res  *Result
+
+	rec      obs.Recorder
+	tr       *obs.Tracer
+	ex       *explain.Explainer // nil unless the run is explained
+	featName func(int32) string
+	spRun    *obs.Span
+
+	sampled     []LabeledDoc // the labelled sample, duplicates included
+	processed   map[corpus.DocID]bool
+	seenTuples  map[relation.Tuple]bool
+	pending     []*corpus.Document
+	cursor      int
+	scores      map[corpus.DocID]float64
+	buffer      []LabeledDoc
+	requeues    map[corpus.DocID]int
+	prevSupport map[int32]bool
+	// Per-document observe/detect times, flushed as aggregate phase
+	// events at the end of the run to keep the trace compact.
+	accObserve, accDetect time.Duration
+	err                   error // the resume divergence that ended the run
+
+	cSample, cDocs, cUseful, cReranks, cUpdates, cFired, cSuppressed *obs.Counter
+	cSkipped, cRequeued, cWorkerPanics                               *obs.Counter
+	hRank, hUpdate, hDetect                                          *obs.Histogram
+}
+
+// newRun wires the run's observability and opens its run span. A nil
+// registry, the no-op recorder, the nil tracer and a nil explainer all
+// cost nothing, so an uninstrumented run takes exactly the bare path
+// (the byte-identity tests at the root pin this down). The tracer is
+// shared with the strategy and detector so their spans nest under the
+// pipeline's current scope.
+func newRun(ctx context.Context, opts Options) *run {
 	reg := opts.Metrics
 	rec := opts.Recorder
 	if rec == nil {
@@ -243,11 +292,6 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 			in.Instrument(reg, rec) // e.g. a Resilient live-extraction oracle
 		}
 	}
-	// Span tracing: tr is nil when the recorder is disabled, and every
-	// tracer/span method no-ops (and allocates nothing) on nil, so the
-	// span plumbing below costs the untraced hot path nothing. The same
-	// tracer is handed to the strategy and detector so their spans and
-	// span-linked events nest under the pipeline's current scope.
 	tr := obs.NewTracer(rec)
 	if tr.Enabled() {
 		if in, ok := opts.Strategy.(obs.TraceInstrumentable); ok {
@@ -257,41 +301,29 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 			in.InstrumentTracer(tr)
 		}
 	}
-	// Model introspection (internal/obs/explain): ex is nil on
-	// un-explained runs, and every capture path below is gated on it, so
-	// a disabled run takes exactly the uninstrumented code path (the
-	// byte-identity tests at the root pin this down).
-	ex := opts.Explain
-	var featName func(int32) string
-	if ex != nil && opts.Featurizer != nil {
-		featName = opts.Featurizer.FeatureName
+	r := &run{
+		ctx: ctx, opts: opts, res: &Result{Strategy: opts.Strategy.Name()},
+		rec: rec, tr: tr, ex: opts.Explain,
+		processed:     make(map[corpus.DocID]bool, opts.Coll.Len()),
+		seenTuples:    make(map[relation.Tuple]bool),
+		requeues:      make(map[corpus.DocID]int),
+		cSample:       reg.Counter(obs.MetricPipelineSampleDocs),
+		cDocs:         reg.Counter(obs.MetricPipelineDocsProcessed),
+		cUseful:       reg.Counter(obs.MetricPipelineDocsUseful),
+		cReranks:      reg.Counter(obs.MetricPipelineReranks),
+		cUpdates:      reg.Counter(obs.MetricPipelineUpdates),
+		cFired:        reg.Counter(obs.MetricPipelineDetectorFired),
+		cSuppressed:   reg.Counter(obs.MetricPipelineDetectorSuppressed),
+		cSkipped:      reg.Counter(obs.MetricPipelineDocsSkipped),
+		cRequeued:     reg.Counter(obs.MetricPipelineDocsRequeued),
+		cWorkerPanics: reg.Counter(obs.MetricPipelineWorkerPanics),
+		hRank:         reg.Histogram(obs.MetricPipelineRankSeconds, nil),
+		hUpdate:       reg.Histogram(obs.MetricPipelineUpdateSeconds, nil),
+		hDetect:       reg.Histogram(obs.MetricPipelineDetectSeconds, nil),
 	}
-	explainSnapshot := func(stage string, span int64, added, removed int) {
-		if ex == nil {
-			return
-		}
-		m, ok := opts.Strategy.(Modeler)
-		if !ok {
-			return
-		}
-		ex.RecordSnapshot(stage, span, len(res.Order), m.Model(), featName, added, removed)
+	if opts.Explain != nil && opts.Featurizer != nil {
+		r.featName = opts.Featurizer.FeatureName
 	}
-	var (
-		cSample     = reg.Counter(obs.MetricPipelineSampleDocs)
-		cDocs       = reg.Counter(obs.MetricPipelineDocsProcessed)
-		cUseful     = reg.Counter(obs.MetricPipelineDocsUseful)
-		cReranks    = reg.Counter(obs.MetricPipelineReranks)
-		cUpdates    = reg.Counter(obs.MetricPipelineUpdates)
-		cFired      = reg.Counter(obs.MetricPipelineDetectorFired)
-		cSuppressed = reg.Counter(obs.MetricPipelineDetectorSuppressed)
-		hRank       = reg.Histogram(obs.MetricPipelineRankSeconds, nil)
-		hUpdate     = reg.Histogram(obs.MetricPipelineUpdateSeconds, nil)
-		hDetect     = reg.Histogram(obs.MetricPipelineDetectSeconds, nil)
-	)
-	// Per-document strategy-observation and detection times are flushed
-	// as aggregate phase events at the end of the run, keeping the trace
-	// compact while preserving the phase-sum identity with Result.Time.
-	var accObserve, accDetect time.Duration
 	// The run-started event carries the collection size and — when the
 	// oracle knows it — the total useful count (Val), so post-hoc trace
 	// analysis can reconstruct recall without the collection.
@@ -300,227 +332,125 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		startEv.Val = float64(total)
 	}
 	rec.Record(startEv)
-	spRun := tr.Start(obs.SpanRun).SetAttr("strategy", opts.Strategy.Name()).
+	r.spRun = tr.Start(obs.SpanRun).SetAttr("strategy", opts.Strategy.Name()).
 		SetNum("collection", float64(opts.Coll.Len()))
+	return r
+}
 
-	// pending/cursor are declared ahead of the epilogue closure so an
-	// interrupted run can share the same exit path as a completed one.
-	var pending []*corpus.Document
-	cursor := 0
+// phase runs fn as the named Figure 2 phase. It is the one place that
+// opens a phase span and sets the pprof label phase=<name> (goroutines
+// fn starts inherit it). It returns the span, ended, and fn's duration,
+// which the caller charges to Result.Time, its histogram and its phase
+// event.
+func (r *run) phase(name string, fn func(sp *obs.Span)) (*obs.Span, time.Duration) {
+	sp := r.tr.Start(name)
+	var d time.Duration
+	pprof.Do(r.ctx, pprof.Labels(obs.LabelPhase, name), func(context.Context) {
+		t0 := time.Now()
+		fn(sp)
+		d = time.Since(t0)
+	})
+	sp.End()
+	return sp, d
+}
 
-	// epilogue computes the quality metrics, flushes the aggregate phase
-	// events, and closes the trace. Every exit path — completion,
-	// MaxDocs, cancellation — funnels through it so partial results are
-	// always fully accounted.
-	epilogue := func() (*Result, error) {
-		res.PoolSize = len(res.Order) + (len(pending) - cursor)
-		if total, known := opts.Labels.TotalUseful(); known && !res.Interrupted {
-			if denom := total - res.SampleUseful; denom <= 0 {
-				// Degenerate corner: the sample already covered every useful
-				// document; any order of the (useless) rest is perfect.
-				res.Curve = make([]float64, 101)
-				for i := range res.Curve {
-					res.Curve[i] = 1
+// sample labels the initial document sample. Duplicates (sampling with
+// replacement) train with their multiplicity but are counted and costed
+// once. It reports false when the run was cancelled mid-sample.
+func (r *run) sample() bool {
+	res := r.res
+	r.phase(obs.SpanSample, func(sp *obs.Span) {
+		r.sampled = make([]LabeledDoc, 0, len(r.opts.Sample))
+		for _, d := range r.opts.Sample {
+			ld, outcome, reason := r.label(d)
+			switch outcome {
+			case outcomeCancelled:
+				res.Interrupted = true
+				sp.SetNum("docs", float64(res.SampleSize))
+				return
+			case outcomeSkip, outcomeRequeue:
+				// The sample is an unordered batch, so a breaker-open
+				// fast-fail is a skip here too: there is no "later" position
+				// to requeue to before initial training needs the doc.
+				if outcome == outcomeRequeue {
+					reason = obs.ReasonBreakerOpen
 				}
-				res.AP, res.AUC = 1, 0.5
-			} else {
-				res.Curve = metrics.RecallCurve(res.OrderLabels, denom)
-				res.AP = metrics.AveragePrecision(res.OrderLabels)
-				res.AUC = metrics.AUC(res.OrderLabels)
-			}
-		}
-		reg.Gauge(obs.MetricPipelinePoolSize).Set(float64(res.PoolSize))
-		res.Time.Record(reg)
-		if rec.Enabled() {
-			if accObserve > 0 {
-				rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseStrategyObserve, Dur: accObserve})
-			}
-			if accDetect > 0 {
-				rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseDetection, Dur: accDetect})
-			}
-			if opts.Journal != nil {
-				rec.Record(obs.Event{Kind: obs.KindCheckpoint,
-					Name: opts.Journal.Path(), N: opts.Journal.Entries()})
-			}
-			nUseful := 0
-			for _, u := range res.OrderLabels {
-				if u {
-					nUseful++
+				if !r.processed[d.ID] {
+					r.processed[d.ID] = true
+					r.markSkipped(d.ID, reason)
 				}
+				continue
 			}
-			sp := spRun.SetNum("docs", float64(len(res.Order))).
-				SetNum("useful", float64(nUseful))
-			if res.Interrupted {
-				sp.SetAttr("interrupted", "true")
+			r.sampled = append(r.sampled, ld)
+			if r.processed[d.ID] {
+				continue
 			}
-			sp.End()
-			rec.Record(obs.Event{Kind: obs.KindRunFinished, N: len(res.Order), Dur: res.Time.Total()})
-		}
-		if err := opts.Journal.Err(); err != nil {
-			return res, fmt.Errorf("pipeline: journal write failed: %w", err)
-		}
-		// A completed resume must have reproduced every journaled model
-		// snapshot it passed; skipping one means the replay updated its
-		// model at different positions than the interrupted run.
-		if !res.Interrupted {
-			if ps := opts.Journal.UncheckedSnapshots(len(res.Order)); len(ps) > 0 {
-				return res, fmt.Errorf("%w: journal snapshots at positions %v never reproduced",
-					ErrResumeDiverged, ps)
+			r.processed[d.ID] = true
+			res.SampleSize++
+			if ld.Useful {
+				res.SampleUseful++
+			}
+			r.collect(ld.Tuples)
+			res.Time.Extraction += r.opts.ExtractionCost
+			r.cSample.Inc()
+			if r.rec.Enabled() {
+				r.rec.Record(obs.Event{Kind: obs.KindSampleLabelled, Doc: int64(d.ID),
+					Useful: ld.Useful, Dur: r.opts.ExtractionCost})
 			}
 		}
-		return res, nil
-	}
+		sp.SetNum("docs", float64(res.SampleSize)).SetNum("useful", float64(res.SampleUseful))
+	})
+	return !res.Interrupted
+}
 
-	// --- Fault-tolerant labelling -------------------------------------
-	// labelDoc is the single path every extraction outcome flows through:
-	// journal replay first, then the (possibly resilient) live oracle.
-	// Successful outcomes are journaled — and flushed — before they can
-	// affect the model, so a crash never loses acknowledged work.
-	const (
-		outcomeOK = iota
-		outcomeSkip
-		outcomeRequeue
-		outcomeCancelled
-	)
-	cSkipped := reg.Counter(obs.MetricPipelineDocsSkipped)
-	cRequeued := reg.Counter(obs.MetricPipelineDocsRequeued)
-	seenTuples := make(map[relation.Tuple]bool)
-	collect := func(tuples []relation.Tuple) {
-		for _, t := range tuples {
-			if !seenTuples[t] {
-				seenTuples[t] = true
-				res.Tuples = append(res.Tuples, t)
-			}
-		}
-	}
-	markSkipped := func(id corpus.DocID, reason string) {
-		// RecordSkip dedupes, so re-marking a journal-replayed skip is a
-		// no-op on disk.
-		opts.Journal.RecordSkip(id, reason)
-		res.Skipped = append(res.Skipped, id)
-		cSkipped.Inc()
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindDocSkipped, Doc: int64(id), Name: reason})
-		}
-	}
-	labelDoc := func(d *corpus.Document) (LabeledDoc, int, string) {
-		if e, ok := opts.Journal.Lookup(d.ID); ok {
-			if e.Skipped {
-				return LabeledDoc{Doc: d}, outcomeSkip, e.Reason
-			}
-			return LabeledDoc{Doc: d, Useful: e.Useful, Tuples: e.Tuples}, outcomeOK, ""
-		}
-		useful, tuples, err := labelWithContext(ctx, opts.Labels, d)
-		if err == nil {
-			opts.Journal.RecordDoc(d.ID, useful, tuples)
-			return LabeledDoc{Doc: d, Useful: useful, Tuples: tuples}, outcomeOK, ""
-		}
-		if ctx.Err() != nil {
-			return LabeledDoc{Doc: d}, outcomeCancelled, ""
-		}
-		if errors.Is(err, ErrBreakerOpen) {
-			return LabeledDoc{Doc: d}, outcomeRequeue, ""
-		}
-		reason := obs.ReasonPoisoned
-		if !errors.Is(err, ErrDocPoisoned) {
-			reason = obs.ReasonError
-		}
-		return LabeledDoc{Doc: d}, outcomeSkip, reason
-	}
+// trainInit trains the initial model on the labelled sample.
+func (r *run) trainInit() {
+	sp, d := r.phase(obs.SpanTrainInit, func(sp *obs.Span) {
+		r.opts.Strategy.Init(r.sampled)
+		sp.SetNum("docs", float64(len(r.sampled)))
+	})
+	r.res.Time.Training += d
+	r.rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseInitTrain, N: len(r.sampled), Dur: d})
+	r.explainSnapshot(explain.StageTrainInit, sp.ID(), 0, 0)
+}
 
-	// --- Initial sampling & labelling -------------------------------
-	spSample := tr.Start(obs.SpanSample)
-	sample := make([]LabeledDoc, 0, len(opts.Sample))
-	processed := make(map[corpus.DocID]bool, opts.Coll.Len())
-	for _, d := range opts.Sample {
-		ld, outcome, reason := labelDoc(d)
-		switch outcome {
-		case outcomeCancelled:
-			res.Interrupted = true
-			spSample.SetNum("docs", float64(res.SampleSize)).End()
-			return epilogue()
-		case outcomeSkip, outcomeRequeue:
-			// The sample is an unordered batch, so a breaker-open
-			// fast-fail is a skip here too: there is no "later" position
-			// to requeue to before initial training needs the doc.
-			if outcome == outcomeRequeue {
-				reason = obs.ReasonBreakerOpen
-			}
-			if !processed[d.ID] {
-				processed[d.ID] = true
-				markSkipped(d.ID, reason)
-			}
-			continue
-		}
-		// Duplicates (sampling with replacement) train with their
-		// multiplicity but are counted and costed once.
-		sample = append(sample, ld)
-		if processed[d.ID] {
-			continue
-		}
-		processed[d.ID] = true
-		res.SampleSize++
-		if ld.Useful {
-			res.SampleUseful++
-		}
-		collect(ld.Tuples)
-		res.Time.Extraction += opts.ExtractionCost
-		cSample.Inc()
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindSampleLabelled, Doc: int64(d.ID),
-				Useful: ld.Useful, Dur: opts.ExtractionCost})
-		}
+// primeDetector hands the labelled sample to a detector that consumes
+// one.
+func (r *run) primeDetector() {
+	if r.opts.Detector == nil {
+		return
 	}
-
-	spSample.SetNum("docs", float64(res.SampleSize)).
-		SetNum("useful", float64(res.SampleUseful)).End()
-
-	// --- Ranking generation ------------------------------------------
-	spInit := tr.Start(obs.SpanTrainInit)
-	t0 := time.Now()
-	opts.Strategy.Init(sample)
-	initDur := time.Since(t0)
-	res.Time.Training += initDur
-	spInit.SetNum("docs", float64(len(sample))).End()
-	rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseInitTrain, N: len(sample), Dur: initDur})
-	explainSnapshot(explain.StageTrainInit, spInit.ID(), 0, 0)
-
-	feats := func(d *corpus.Document) vector.Sparse {
-		if opts.Featurizer == nil {
-			return vector.Sparse{}
-		}
-		return opts.Featurizer.Features(d)
-	}
-	if opts.Detector != nil {
-		spPrime := tr.Start(obs.SpanDetectorPrime)
-		t0 = time.Now()
-		switch p := opts.Detector.(type) {
+	_, d := r.phase(obs.SpanDetectorPrime, func(sp *obs.Span) {
+		switch p := r.opts.Detector.(type) {
 		case labeledPrimer:
-			xs := make([]vector.Sparse, len(sample))
-			ys := make([]bool, len(sample))
-			for i, ld := range sample {
-				xs[i] = feats(ld.Doc)
+			xs := make([]vector.Sparse, len(r.sampled))
+			ys := make([]bool, len(r.sampled))
+			for i, ld := range r.sampled {
+				xs[i] = r.feats(ld.Doc)
 				ys[i] = ld.Useful
 			}
 			p.Prime(xs, ys)
 		case unlabeledPrimer:
-			xs := make([]vector.Sparse, len(sample))
-			for i, ld := range sample {
-				xs[i] = feats(ld.Doc)
+			xs := make([]vector.Sparse, len(r.sampled))
+			for i, ld := range r.sampled {
+				xs[i] = r.feats(ld.Doc)
 			}
 			p.Prime(xs)
 		}
-		primeDur := time.Since(t0)
-		res.Time.Detection += primeDur
-		spPrime.SetNum("docs", float64(len(sample))).End()
-		rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseDetectorPrime, N: len(sample), Dur: primeDur})
-	}
+		sp.SetNum("docs", float64(len(r.sampled)))
+	})
+	r.res.Time.Detection += d
+	r.rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseDetectorPrime, N: len(r.sampled), Dur: d})
+}
 
-	// --- Build the pending pool --------------------------------------
+// buildPool fills the pending pool: the unprocessed collection, or in
+// the search-interface scenario the keyword-query retrieval.
+func (r *run) buildPool() {
+	opts := &r.opts
 	if opts.SearchIface == nil {
 		for _, d := range opts.Coll.Docs() {
-			if !processed[d.ID] {
-				pending = append(pending, d)
+			if !r.processed[d.ID] {
+				r.pending = append(r.pending, d)
 			}
 		}
 	} else {
@@ -537,116 +467,45 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		for _, id := range ids {
-			if !processed[id] {
-				pending = append(pending, opts.Coll.Doc(id))
+			if !r.processed[id] {
+				r.pending = append(r.pending, opts.Coll.Doc(id))
 			}
 		}
 	}
+	r.scores = make(map[corpus.DocID]float64, len(r.pending))
+}
 
-	// --- Initial ranking ----------------------------------------------
-	scores := make(map[corpus.DocID]float64, len(pending))
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	// score wraps Strategy.Score with panic recovery so one bad feature
-	// vector cannot take down a worker goroutine (which would crash the
-	// whole process): the document is attributed, counted, and ranked
-	// last instead.
-	cWorkerPanics := reg.Counter(obs.MetricPipelineWorkerPanics)
-	score := func(d *corpus.Document) (s float64) {
-		defer func() {
-			if p := recover(); p != nil {
-				s = math.Inf(-1)
-				cWorkerPanics.Inc()
-				if rec.Enabled() {
-					rec.Record(obs.Event{Kind: obs.KindWorkerPanic,
-						Doc: int64(d.ID), Name: obs.PanicSiteScore})
-				}
-			}
-		}()
-		return opts.Strategy.Score(d)
-	}
-	// scoreChunk scores one contiguous slice of pending documents into the
-	// matching out slice. Strategies with a batch fast path (BatchScorer)
-	// score the whole chunk through pooled buffers; a panic inside the
-	// batch path — or a strategy without one — falls back to per-document
-	// score, whose own recovery attributes the offending document. Both
-	// paths produce bitwise-identical scores (the BatchScorer contract),
-	// so chunk boundaries and fallbacks never change the ranking.
-	batcher, _ := opts.Strategy.(BatchScorer)
-	scoreChunk := func(docs []*corpus.Document, out []float64) {
-		if batcher != nil {
-			ok := func() (ok bool) {
-				defer func() {
-					if p := recover(); p != nil {
-						ok = false
-						if rec.Enabled() {
-							rec.Record(obs.Event{Kind: obs.KindWorkerPanic,
-								Name: obs.PanicSiteScoreBatch})
-						}
-					}
-				}()
-				return batcher.ScoreBatch(docs, out)
-			}()
-			if ok {
-				return
-			}
+// rank scores the pending pool and sorts it best-first. Workers each
+// score one contiguous range; the values depend only on the model
+// state, never on chunk or worker boundaries, so the ranking is the
+// sequential one.
+func (r *run) rank() {
+	pending, workers := r.pending, max(r.opts.Workers, 1)
+	sp, dt := r.phase(obs.SpanRank, func(sp *obs.Span) {
+		if r.rec.Enabled() {
+			r.rec.Record(obs.Event{Kind: obs.KindRankStarted, N: len(pending)})
 		}
-		for i, d := range docs {
-			out[i] = score(d)
-		}
-	}
-	// scoreRange walks [lo, hi) in fixed sub-chunks so batch scoring,
-	// cancellation checks, and worker partitioning all share one shape:
-	// the values written to out depend only on the model state, never on
-	// chunk or worker boundaries (worker-count invariance).
-	const scoreChunkSize = 256
-	scoreRange := func(lo, hi int, out []float64) {
-		for a := lo; a < hi; a += scoreChunkSize {
-			if ctx.Err() != nil {
-				return // cancelled: the main loop exits right after
-			}
-			b := a + scoreChunkSize
-			if b > hi {
-				b = hi
-			}
-			scoreChunk(pending[a:b], out[a:b])
-		}
-	}
-	rank := func() {
-		spRank := tr.Start(obs.SpanRank)
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindRankStarted, N: len(pending)})
-		}
-		t := time.Now()
 		out := make([]float64, len(pending))
 		if workers == 1 || len(pending) < 256 {
-			scoreRange(0, len(pending), out)
+			r.scoreRange(0, len(pending), out)
 		} else {
 			var wg sync.WaitGroup
 			chunk := (len(pending) + workers - 1) / workers
-			for w := 0; w < workers; w++ {
-				lo := w * chunk
-				hi := lo + chunk
-				if hi > len(pending) {
-					hi = len(pending)
-				}
-				if lo >= hi {
-					break
-				}
+			for lo := 0; lo < len(pending); lo += chunk {
+				hi := min(lo+chunk, len(pending))
 				wg.Add(1)
-				go func(lo, hi int) {
+				go func() {
 					defer wg.Done()
-					scoreRange(lo, hi, out)
-				}(lo, hi)
+					r.scoreRange(lo, hi, out)
+				}()
 			}
 			wg.Wait()
 		}
 		for i, d := range pending {
-			scores[d.ID] = out[i]
+			r.scores[d.ID] = out[i]
 		}
-		res.ScoredDocs += len(pending)
+		r.res.ScoredDocs += len(pending)
+		scores := r.scores
 		sort.SliceStable(pending, func(i, j int) bool {
 			si, sj := scores[pending[i].ID], scores[pending[j].ID]
 			if si != sj {
@@ -654,96 +513,123 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 			}
 			return pending[i].ID < pending[j].ID
 		})
-		dt := time.Since(t)
-		res.Time.Ranking += dt
-		cReranks.Inc()
-		hRank.ObserveDuration(dt)
-		spRank.SetNum("pool", float64(len(pending))).SetNum("workers", float64(workers)).End()
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindRankFinished, N: len(pending), Dur: dt})
+		sp.SetNum("pool", float64(len(pending))).SetNum("workers", float64(workers))
+	})
+	r.res.Time.Ranking += dt
+	r.cReranks.Inc()
+	r.hRank.ObserveDuration(dt)
+	if r.rec.Enabled() {
+		r.rec.Record(obs.Event{Kind: obs.KindRankFinished, N: len(pending), Dur: dt})
+	}
+	r.attribute(sp.ID())
+}
+
+// attribute decomposes the freshly top-ranked documents' scores into
+// exact per-feature contributions. It runs after the rank phase closes —
+// attribution is introspection overhead, not ranking work — and re-uses
+// the per-document feature cache the scoring pass just filled.
+func (r *run) attribute(span int64) {
+	if r.ex == nil {
+		return
+	}
+	da, ok := r.opts.Strategy.(DocAttributor)
+	if !ok {
+		return
+	}
+	n := min(r.ex.AttribTopN(), len(r.pending))
+	for i := 0; i < n; i++ {
+		d := r.pending[i]
+		a, ok := da.Attribute(d)
+		if !ok {
+			break
 		}
-		// Score attribution: decompose the freshly top-ranked documents'
-		// scores into exact per-feature contributions. This happens after
-		// the timing account closes — attribution is introspection
-		// overhead, not ranking work — and re-uses the per-document
-		// feature cache the scoring pass just filled.
-		if ex != nil {
-			if da, ok := opts.Strategy.(DocAttributor); ok {
-				n := ex.AttribTopN()
-				if n > len(pending) {
-					n = len(pending)
-				}
-				for i := 0; i < n; i++ {
-					d := pending[i]
-					a, ok := da.Attribute(d)
-					if !ok {
-						break
-					}
-					ex.RecordAttribution(explain.Record{
-						Doc: int64(d.ID), Rank: i,
-						Span: spRank.ID(), Pos: len(res.Order),
-						Score: a.Score, Logistic: a.Logistic,
-						Members: explainMembers(a, featName),
-					})
-				}
+		r.ex.RecordAttribution(explain.Record{
+			Doc: int64(d.ID), Rank: i,
+			Span: span, Pos: len(r.res.Order),
+			Score: a.Score, Logistic: a.Logistic,
+			Members: explainMembers(a, r.featName),
+		})
+	}
+}
+
+// scoreRange scores pending[lo:hi) into out in fixed sub-chunks, so
+// batch scoring, cancellation checks, and worker partitioning all share
+// one shape. Strategies with a batch fast path (BatchScorer) score a
+// whole chunk through pooled buffers; a panic inside the batch path — or
+// a strategy without one — falls back to per-document score, whose own
+// recovery attributes the offending document. Both paths produce
+// bitwise-identical scores (the BatchScorer contract), so chunk
+// boundaries and fallbacks never change the ranking.
+func (r *run) scoreRange(lo, hi int, out []float64) {
+	const chunk = 256
+	batcher, _ := r.opts.Strategy.(BatchScorer)
+	for a := lo; a < hi; a += chunk {
+		if r.ctx.Err() != nil {
+			return // cancelled: the main loop exits right after
+		}
+		b := min(a+chunk, hi)
+		if batcher != nil && r.scoreBatch(batcher, r.pending[a:b], out[a:b]) {
+			continue
+		}
+		for i := a; i < b; i++ {
+			out[i] = r.score(r.pending[i])
+		}
+	}
+}
+
+func (r *run) scoreBatch(b BatchScorer, docs []*corpus.Document, out []float64) (ok bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			ok = false
+			if r.rec.Enabled() {
+				r.rec.Record(obs.Event{Kind: obs.KindWorkerPanic, Name: obs.PanicSiteScoreBatch})
 			}
 		}
-	}
-	rank()
+	}()
+	return b.ScoreBatch(docs, out)
+}
 
-	modelSupport := func() map[int32]bool {
-		m, ok := opts.Strategy.(Modeler)
-		if !ok || m.Model() == nil {
-			return nil
+// score wraps Strategy.Score with panic recovery so one bad feature
+// vector cannot take down a worker goroutine (which would crash the
+// whole process): the document is attributed, counted, and ranked last
+// instead.
+func (r *run) score(d *corpus.Document) (s float64) {
+	defer func() {
+		if p := recover(); p != nil {
+			s = math.Inf(-1)
+			r.cWorkerPanics.Inc()
+			if r.rec.Enabled() {
+				r.rec.Record(obs.Event{Kind: obs.KindWorkerPanic,
+					Doc: int64(d.ID), Name: obs.PanicSiteScore})
+			}
 		}
-		sup := make(map[int32]bool, m.Model().NNZ())
-		m.Model().Range(func(i int32, v float64) { sup[i] = true })
-		return sup
-	}
-	prevSupport := modelSupport()
+	}()
+	return r.opts.Strategy.Score(d)
+}
 
-	// modelHash is an order-independent fingerprint of the model weights
-	// (XOR-combined per-feature hashes: Weights.Range order must not
-	// matter). Snapshots recorded in the journal at each update verify
-	// that a resumed run's model evolves identically to the original.
-	modelHash := func() (nnz int, sum uint64, ok bool) {
-		m, k := opts.Strategy.(Modeler)
-		if !k || m.Model() == nil {
-			return 0, 0, false
-		}
-		w := m.Model()
-		w.Range(func(i int32, v float64) {
-			h := uint64(i)*0x9e3779b97f4a7c15 ^ math.Float64bits(v)
-			// splitmix64 finalizer: decorrelate before XOR-combining.
-			h ^= h >> 30
-			h *= 0xbf58476d1ce4e5b9
-			h ^= h >> 27
-			h *= 0x94d049bb133111eb
-			h ^= h >> 31
-			sum ^= h
-		})
-		return w.NNZ(), sum, true
-	}
-
-	// --- Extraction loop ----------------------------------------------
-	// Batch spans group the documents processed between two consecutive
-	// (re-)rankings; doc spans nest under them, giving the trace its
-	// run -> batch -> doc causal spine.
-	var buffer []LabeledDoc
+// process is the document loop: label the next-ranked document, let the
+// strategy and the detector observe it, and update and re-rank when
+// either asks. Batch spans group the documents processed between two
+// consecutive (re-)rankings; doc spans nest under them, giving the trace
+// its run -> batch -> doc causal spine. Observe and detect are timed
+// inline rather than as phases: a labelled phase per document would
+// allocate on the hot path.
+func (r *run) process() {
+	res, opts := r.res, &r.opts
+	r.prevSupport = modelSupport(opts.Strategy)
 	batchDocs := 0
-	requeues := make(map[corpus.DocID]int)
-	spBatch := tr.Start(obs.SpanBatch)
-	for cursor < len(pending) {
+	spBatch := r.tr.Start(obs.SpanBatch)
+	for r.cursor < len(r.pending) {
 		if opts.MaxDocs > 0 && len(res.Order) >= opts.MaxDocs {
 			break
 		}
-		if ctx.Err() != nil {
+		if r.ctx.Err() != nil {
 			res.Interrupted = true
 			break
 		}
-		d := pending[cursor]
-		cursor++
-		if processed[d.ID] {
+		d := r.pending[r.cursor]
+		r.cursor++
+		if r.processed[d.ID] {
 			continue // duplicates can enter via search-interface growth
 		}
 
@@ -751,169 +637,345 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		// extraction work for live oracles). A document is marked
 		// processed only at a final outcome — success or skip — so a
 		// breaker-open requeue can re-enter it later.
-		ld, outcome, reason := labelDoc(d)
-		switch outcome {
-		case outcomeCancelled:
+		ld, outcome, reason := r.label(d)
+		if outcome == outcomeCancelled {
 			res.Interrupted = true
+			break
+		}
+		switch outcome {
 		case outcomeRequeue:
-			requeues[d.ID]++
+			r.requeues[d.ID]++
 			res.Requeued++
-			cRequeued.Inc()
-			if rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.KindDocRequeued,
-					Doc: int64(d.ID), N: requeues[d.ID]})
+			r.cRequeued.Inc()
+			if r.rec.Enabled() {
+				r.rec.Record(obs.Event{Kind: obs.KindDocRequeued,
+					Doc: int64(d.ID), N: r.requeues[d.ID]})
 			}
-			if requeues[d.ID] > opts.RequeueLimit {
-				processed[d.ID] = true
-				markSkipped(d.ID, obs.ReasonRequeueLimit)
+			if r.requeues[d.ID] > opts.RequeueLimit {
+				r.processed[d.ID] = true
+				r.markSkipped(d.ID, obs.ReasonRequeueLimit)
 			} else {
-				pending = append(pending, d)
+				r.pending = append(r.pending, d)
 			}
 			continue
 		case outcomeSkip:
-			processed[d.ID] = true
-			markSkipped(d.ID, reason)
+			r.processed[d.ID] = true
+			r.markSkipped(d.ID, reason)
 			continue
 		}
-		if res.Interrupted {
-			break
-		}
-		processed[d.ID] = true
-		spDoc := tr.Start(obs.SpanDoc)
+		r.processed[d.ID] = true
+		spDoc := r.tr.Start(obs.SpanDoc)
 		batchDocs++
-		collect(ld.Tuples)
+		r.collect(ld.Tuples)
 		res.Order = append(res.Order, d.ID)
 		res.OrderLabels = append(res.OrderLabels, ld.Useful)
 		res.Time.Extraction += opts.ExtractionCost
-		buffer = append(buffer, ld)
-		cDocs.Inc()
+		r.buffer = append(r.buffer, ld)
+		r.cDocs.Inc()
 		if ld.Useful {
-			cUseful.Inc()
+			r.cUseful.Inc()
 		}
 		spDoc.SetNum("doc", float64(d.ID)).SetNum("cost_ns", float64(opts.ExtractionCost))
 		if ld.Useful {
 			spDoc.SetAttr("useful", "true")
 		}
-		if rec.Enabled() {
-			rec.Record(obs.Event{Kind: obs.KindDocExtracted, Doc: int64(d.ID),
+		if r.rec.Enabled() {
+			r.rec.Record(obs.Event{Kind: obs.KindDocExtracted, Doc: int64(d.ID),
 				Useful: ld.Useful, Dur: opts.ExtractionCost, Span: spDoc.ID()})
 		}
 
 		// Keep the explain logical clock on the ranked-phase position, so
 		// detector decision records made below carry the position they
 		// were decided at.
-		ex.Advance(len(res.Order))
+		r.ex.Advance(len(res.Order))
 
 		// Strategy self-observation (A-FC re-ranks continuously).
 		t := time.Now()
 		selfRerank := opts.Strategy.Observe(ld)
 		od := time.Since(t)
 		res.Time.Ranking += od
-		accObserve += od
+		r.accObserve += od
 
 		// Update detection.
 		trigger := false
 		if opts.Detector != nil {
-			spDet := tr.Start(obs.SpanDetect)
+			spDet := r.tr.Start(obs.SpanDetect)
 			t = time.Now()
-			trigger = opts.Detector.Observe(feats(d), ld.Useful)
+			trigger = opts.Detector.Observe(r.feats(d), ld.Useful)
 			dt := time.Since(t)
 			spDet.End()
 			res.Time.Detection += dt
 			res.DetectorTime += dt
 			res.DetectorObservations++
-			accDetect += dt
-			hDetect.ObserveDuration(dt)
+			r.accDetect += dt
+			r.hDetect.ObserveDuration(dt)
 			if trigger {
-				cFired.Inc()
+				r.cFired.Inc()
 			} else {
-				cSuppressed.Inc()
+				r.cSuppressed.Inc()
 			}
 		}
-
 		if trigger {
-			// Model update: fold the buffered documents in (online —
-			// no retraining from scratch).
-			bufN := len(buffer)
-			if rec.Enabled() {
-				rec.Record(obs.Event{Kind: obs.KindDetectorFired,
-					Name: opts.Detector.Name(), N: bufN})
-			}
-			spTrain := tr.Start(obs.SpanTrainUpdate)
-			t = time.Now()
-			opts.Strategy.Update(buffer)
-			updateDur := time.Since(t)
-			spTrain.SetNum("buffered", float64(bufN)).End()
-			res.Time.Training += updateDur
-			cUpdates.Inc()
-			hUpdate.ObserveDuration(updateDur)
-			buffer = buffer[:0]
-			res.UpdatePositions = append(res.UpdatePositions, len(res.Order))
-			opts.Detector.Reset()
-
-			// Feature churn bookkeeping.
-			var added, removed, size int
-			haveChurn := false
-			if cur := modelSupport(); cur != nil {
-				haveChurn = true
-				for f := range cur {
-					if !prevSupport[f] {
-						added++
-					}
-				}
-				for f := range prevSupport {
-					if !cur[f] {
-						removed++
-					}
-				}
-				size = len(cur)
-				res.Churn = append(res.Churn, ChurnRecord{
-					Position: len(res.Order), Added: added, Removed: removed, Size: size,
-				})
-				prevSupport = cur
-				reg.Gauge(obs.MetricPipelineModelSupport).Set(float64(size))
-				reg.Counter(obs.MetricPipelineFeaturesAdded).Add(int64(added))
-				reg.Counter(obs.MetricPipelineFeaturesRemoved).Add(int64(removed))
-			}
-			if rec.Enabled() {
-				ev := obs.Event{Kind: obs.KindModelUpdated, N: bufN, Dur: updateDur}
-				if haveChurn {
-					ev.Added, ev.Removed, ev.Val = added, removed, float64(size)
-				}
-				rec.Record(ev)
-			}
-			explainSnapshot(explain.StageTrainUpdate, spTrain.ID(), added, removed)
-
-			// Journal a model snapshot at this update position; on resume
-			// this verifies (rather than re-records) and aborts on
-			// divergence instead of silently producing different results.
-			if opts.Journal != nil {
-				if nnz, sum, ok := modelHash(); ok {
-					if err := opts.Journal.CheckSnapshot(len(res.Order), nnz, sum); err != nil {
-						return nil, fmt.Errorf("pipeline: resume diverged from journal: %w", err)
-					}
-				}
-			}
-
-			// Search-interface scenario: issue the top model features as
-			// fresh queries and grow the pool.
-			if opts.SearchIface != nil {
-				pending = append(pending, retrieveByTopFeatures(opts, processed)...)
-			}
+			r.err = r.update()
 		}
-
 		spDoc.End()
+		if r.err != nil {
+			break
+		}
 		if trigger || selfRerank {
 			spBatch.SetNum("docs", float64(batchDocs)).End()
-			pending = pending[cursor:]
-			cursor = 0
-			rank()
-			spBatch = tr.Start(obs.SpanBatch)
+			r.pending = r.pending[r.cursor:]
+			r.cursor = 0
+			r.rank()
+			spBatch = r.tr.Start(obs.SpanBatch)
 			batchDocs = 0
 		}
 	}
 	spBatch.SetNum("docs", float64(batchDocs)).End()
-	return epilogue()
+}
+
+// update folds the buffered documents into the model (online — no
+// retraining from scratch), re-baselines the detector, records feature
+// churn and the explain snapshot, verifies the journal's model snapshot,
+// and grows the pool in the search-interface scenario. It returns the
+// error of a resume that diverged from its journal.
+func (r *run) update() error {
+	res, opts := r.res, &r.opts
+	bufN := len(r.buffer)
+	if r.rec.Enabled() {
+		r.rec.Record(obs.Event{Kind: obs.KindDetectorFired, Name: opts.Detector.Name(), N: bufN})
+	}
+	sp, d := r.phase(obs.SpanTrainUpdate, func(sp *obs.Span) {
+		opts.Strategy.Update(r.buffer)
+		sp.SetNum("buffered", float64(bufN))
+	})
+	res.Time.Training += d
+	r.cUpdates.Inc()
+	r.hUpdate.ObserveDuration(d)
+	r.buffer = r.buffer[:0]
+	res.UpdatePositions = append(res.UpdatePositions, len(res.Order))
+	opts.Detector.Reset()
+
+	ev := obs.Event{Kind: obs.KindModelUpdated, N: bufN, Dur: d}
+	if cur := modelSupport(opts.Strategy); cur != nil {
+		for f := range cur {
+			if !r.prevSupport[f] {
+				ev.Added++
+			}
+		}
+		for f := range r.prevSupport {
+			if !cur[f] {
+				ev.Removed++
+			}
+		}
+		ev.Val = float64(len(cur))
+		res.Churn = append(res.Churn, ChurnRecord{
+			Position: len(res.Order), Added: ev.Added, Removed: ev.Removed, Size: len(cur),
+		})
+		r.prevSupport = cur
+		r.opts.Metrics.Gauge(obs.MetricPipelineModelSupport).Set(ev.Val)
+		r.opts.Metrics.Counter(obs.MetricPipelineFeaturesAdded).Add(int64(ev.Added))
+		r.opts.Metrics.Counter(obs.MetricPipelineFeaturesRemoved).Add(int64(ev.Removed))
+	}
+	if r.rec.Enabled() {
+		r.rec.Record(ev)
+	}
+	r.explainSnapshot(explain.StageTrainUpdate, sp.ID(), ev.Added, ev.Removed)
+
+	// Journal a model snapshot at this update position; on resume this
+	// verifies (rather than re-records) and aborts on divergence instead
+	// of silently producing different results.
+	if opts.Journal != nil {
+		if nnz, sum, ok := modelHash(opts.Strategy); ok {
+			if err := opts.Journal.CheckSnapshot(len(res.Order), nnz, sum); err != nil {
+				return fmt.Errorf("pipeline: resume diverged from journal: %w", err)
+			}
+		}
+	}
+	// Search-interface scenario: issue the top model features as fresh
+	// queries and grow the pool.
+	if opts.SearchIface != nil {
+		r.pending = append(r.pending, retrieveByTopFeatures(*opts, r.processed)...)
+	}
+	return nil
+}
+
+// finish computes the quality metrics, flushes the aggregate phase
+// events, and closes the trace. Every exit path — completion, MaxDocs,
+// cancellation, resume divergence — funnels through it so partial
+// results are always fully accounted.
+func (r *run) finish() (*Result, error) {
+	res, opts := r.res, &r.opts
+	res.PoolSize = len(res.Order) + (len(r.pending) - r.cursor)
+	if total, known := opts.Labels.TotalUseful(); known && !res.Interrupted {
+		if denom := total - res.SampleUseful; denom <= 0 {
+			// Degenerate corner: the sample already covered every useful
+			// document; any order of the (useless) rest is perfect.
+			res.Curve = make([]float64, 101)
+			for i := range res.Curve {
+				res.Curve[i] = 1
+			}
+			res.AP, res.AUC = 1, 0.5
+		} else {
+			res.Curve = metrics.RecallCurve(res.OrderLabels, denom)
+			res.AP = metrics.AveragePrecision(res.OrderLabels)
+			res.AUC = metrics.AUC(res.OrderLabels)
+		}
+	}
+	r.opts.Metrics.Gauge(obs.MetricPipelinePoolSize).Set(float64(res.PoolSize))
+	res.Time.Record(opts.Metrics)
+	if r.rec.Enabled() {
+		if r.accObserve > 0 {
+			r.rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseStrategyObserve, Dur: r.accObserve})
+		}
+		if r.accDetect > 0 {
+			r.rec.Record(obs.Event{Kind: obs.KindPhase, Name: obs.PhaseDetection, Dur: r.accDetect})
+		}
+		if opts.Journal != nil {
+			r.rec.Record(obs.Event{Kind: obs.KindCheckpoint,
+				Name: opts.Journal.Path(), N: opts.Journal.Entries()})
+		}
+		nUseful := 0
+		for _, u := range res.OrderLabels {
+			if u {
+				nUseful++
+			}
+		}
+		sp := r.spRun.SetNum("docs", float64(len(res.Order))).
+			SetNum("useful", float64(nUseful))
+		if res.Interrupted {
+			sp.SetAttr("interrupted", "true")
+		}
+		sp.End()
+		r.rec.Record(obs.Event{Kind: obs.KindRunFinished, N: len(res.Order), Dur: res.Time.Total()})
+	}
+	if r.err != nil {
+		return res, r.err
+	}
+	if err := opts.Journal.Err(); err != nil {
+		return res, fmt.Errorf("pipeline: journal write failed: %w", err)
+	}
+	// A completed resume must have reproduced every journaled model
+	// snapshot it passed; skipping one means the replay updated its
+	// model at different positions than the interrupted run.
+	if !res.Interrupted {
+		if ps := opts.Journal.UncheckedSnapshots(len(res.Order)); len(ps) > 0 {
+			return res, fmt.Errorf("%w: journal snapshots at positions %v never reproduced",
+				ErrResumeDiverged, ps)
+		}
+	}
+	return res, nil
+}
+
+// Labelling outcomes of run.label.
+const (
+	outcomeOK = iota
+	outcomeSkip
+	outcomeRequeue
+	outcomeCancelled
+)
+
+// label is the single path every extraction outcome flows through:
+// journal replay first, then the (possibly resilient) live oracle.
+// Successful outcomes are journaled — and flushed — before they can
+// affect the model, so a crash never loses acknowledged work.
+func (r *run) label(d *corpus.Document) (LabeledDoc, int, string) {
+	if e, ok := r.opts.Journal.Lookup(d.ID); ok {
+		if e.Skipped {
+			return LabeledDoc{Doc: d}, outcomeSkip, e.Reason
+		}
+		return LabeledDoc{Doc: d, Useful: e.Useful, Tuples: e.Tuples}, outcomeOK, ""
+	}
+	useful, tuples, err := labelWithContext(r.ctx, r.opts.Labels, d)
+	if err == nil {
+		r.opts.Journal.RecordDoc(d.ID, useful, tuples)
+		return LabeledDoc{Doc: d, Useful: useful, Tuples: tuples}, outcomeOK, ""
+	}
+	if r.ctx.Err() != nil {
+		return LabeledDoc{Doc: d}, outcomeCancelled, ""
+	}
+	if errors.Is(err, ErrBreakerOpen) {
+		return LabeledDoc{Doc: d}, outcomeRequeue, ""
+	}
+	reason := obs.ReasonPoisoned
+	if !errors.Is(err, ErrDocPoisoned) {
+		reason = obs.ReasonError
+	}
+	return LabeledDoc{Doc: d}, outcomeSkip, reason
+}
+
+// collect appends the tuples not seen before to Result.Tuples.
+func (r *run) collect(tuples []relation.Tuple) {
+	for _, t := range tuples {
+		if !r.seenTuples[t] {
+			r.seenTuples[t] = true
+			r.res.Tuples = append(r.res.Tuples, t)
+		}
+	}
+}
+
+// markSkipped records an abandoned document. RecordSkip dedupes, so
+// re-marking a journal-replayed skip is a no-op on disk.
+func (r *run) markSkipped(id corpus.DocID, reason string) {
+	r.opts.Journal.RecordSkip(id, reason)
+	r.res.Skipped = append(r.res.Skipped, id)
+	r.cSkipped.Inc()
+	if r.rec.Enabled() {
+		r.rec.Record(obs.Event{Kind: obs.KindDocSkipped, Doc: int64(id), Name: reason})
+	}
+}
+
+func (r *run) feats(d *corpus.Document) vector.Sparse {
+	if r.opts.Featurizer == nil {
+		return vector.Sparse{}
+	}
+	return r.opts.Featurizer.Features(d)
+}
+
+// explainSnapshot records the model weight vector in the explain log
+// (the weight-drift timeline).
+func (r *run) explainSnapshot(stage string, span int64, added, removed int) {
+	if r.ex == nil {
+		return
+	}
+	if m, ok := r.opts.Strategy.(Modeler); ok {
+		r.ex.RecordSnapshot(stage, span, len(r.res.Order), m.Model(), r.featName, added, removed)
+	}
+}
+
+// modelSupport returns the set of the model's non-zero features, or nil
+// for a strategy without a linear model.
+func modelSupport(s Strategy) map[int32]bool {
+	m, ok := s.(Modeler)
+	if !ok || m.Model() == nil {
+		return nil
+	}
+	sup := make(map[int32]bool, m.Model().NNZ())
+	m.Model().Range(func(i int32, v float64) { sup[i] = true })
+	return sup
+}
+
+// modelHash is an order-independent fingerprint of the model weights
+// (XOR-combined per-feature hashes: Weights.Range order must not
+// matter). Snapshots recorded in the journal at each update verify that
+// a resumed run's model evolves identically to the original.
+func modelHash(s Strategy) (nnz int, sum uint64, ok bool) {
+	m, k := s.(Modeler)
+	if !k || m.Model() == nil {
+		return 0, 0, false
+	}
+	w := m.Model()
+	w.Range(func(i int32, v float64) {
+		h := uint64(i)*0x9e3779b97f4a7c15 ^ math.Float64bits(v)
+		// splitmix64 finalizer: decorrelate before XOR-combining.
+		h ^= h >> 30
+		h *= 0xbf58476d1ce4e5b9
+		h ^= h >> 27
+		h *= 0x94d049bb133111eb
+		h ^= h >> 31
+		sum ^= h
+	})
+	return w.NNZ(), sum, true
 }
 
 // explainMembers converts a ranking attribution into explain log

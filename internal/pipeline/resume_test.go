@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -172,32 +173,69 @@ func TestRunJournalResumeReproducesRun(t *testing.T) {
 // TestRunJournalResumeDivergenceDetected: resuming a journal against a
 // different configuration (different seed => different model evolution)
 // must fail loudly at a snapshot check, not silently produce garbage.
+// With Mod-C the replay may update at other positions (caught when the
+// run finishes); Wind-F updates at fixed positions, so the replay meets
+// a journaled snapshot with a different model and stops in the update
+// step. Either way the trace is closed like on every other exit.
 func TestRunJournalResumeDivergenceDetected(t *testing.T) {
 	env := newTestEnv(t, 9)
-	path := filepath.Join(t.TempDir(), "run.journal")
-	j, err := OpenJournal(path, "div-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := learnedOpts(env, 9)
-	opts.Journal = j
-	if _, err := RunContext(context.Background(), opts); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		det  func(opts *Options)
+	}{
+		{"mod-c", func(*Options) {}},
+		{"wind-f", func(opts *Options) { opts.Detector = update.NewWindF(50) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.journal")
+			j, err := OpenJournal(path, "div-test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := learnedOpts(env, 9)
+			tc.det(&opts)
+			opts.Journal = j
+			if _, err := RunContext(context.Background(), opts); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
 
-	j2, err := OpenJournal(path, "div-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	opts2 := learnedOpts(env, 1234) // different model seed
-	opts2.Journal = j2
-	_, err = RunContext(context.Background(), opts2)
-	if err == nil || !errors.Is(err, ErrResumeDiverged) {
-		t.Fatalf("err = %v, want snapshot divergence", err)
+			j2, err := OpenJournal(path, "div-test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			opts2 := learnedOpts(env, 1234) // different model seed
+			tc.det(&opts2)
+			opts2.Journal = j2
+			mem := &obs.MemRecorder{}
+			opts2.Recorder = mem
+			_, err = RunContext(context.Background(), opts2)
+			if err == nil || !errors.Is(err, ErrResumeDiverged) {
+				t.Fatalf("err = %v, want snapshot divergence", err)
+			}
+			if tc.name == "wind-f" && !strings.Contains(err.Error(), "resume diverged from journal") {
+				t.Fatalf("err = %v, want the update step's snapshot check", err)
+			}
+			open := map[int64]string{}
+			events := mem.Events()
+			for _, e := range events {
+				switch e.Kind {
+				case obs.KindSpanStart:
+					open[e.Span] = e.Name
+				case obs.KindSpanEnd:
+					delete(open, e.Span)
+				}
+			}
+			if len(open) > 0 {
+				t.Errorf("spans left open at the divergence exit: %v", open)
+			}
+			if n := len(events); n == 0 || events[n-1].Kind != obs.KindRunFinished {
+				t.Errorf("last event is not %s: %+v", obs.KindRunFinished, events[len(events)-1:])
+			}
+		})
 	}
 }
 
