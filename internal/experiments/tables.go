@@ -106,7 +106,9 @@ func (e *Env) Table3() (*Table, error) {
 		})
 	}
 	t.Notes = append(t.Notes,
-		"absolute times depend on hardware and model size; the paper's ordering Wind-F < Mod-C < Top-K < Feat-S is the target")
+		"absolute times depend on hardware and model size; the paper orders Wind-F < Mod-C < Top-K < Feat-S, "+
+			"but its Top-K updates the side classifier on every document, while ours steps it only on balanced "+
+			"(useful, useless) pairs and reuses the footrule between steps")
 	return t, nil
 }
 

@@ -1,13 +1,17 @@
 package pipeline
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"adaptiverank/internal/corpus"
+	"adaptiverank/internal/learn"
+	"adaptiverank/internal/ranking"
 	"adaptiverank/internal/relation"
+	"adaptiverank/internal/vector"
 )
 
 func journalPath(t *testing.T) string {
@@ -221,4 +225,49 @@ func TestLoadLabelsMissingFile(t *testing.T) {
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatal("failed load left a file behind")
 	}
+}
+
+// TestModelHashKeyedByFeatureName pins the journal snapshot checksum to
+// feature names, not ids: rank workers intern features in scheduling
+// order, so a resumed run can give the same words different ids. Two
+// featurizers intern the same words in opposite orders and train the
+// same classifier on the same one-word documents (one product per
+// margin, so the weights agree bit for bit); their models must hash
+// equal, and a one-ulp change to any weight must change the hash.
+func TestModelHashKeyedByFeatureName(t *testing.T) {
+	words := []string{"lava", "ash", "crater", "magma", "vent", "plume", "basalt"}
+	featA, featB := ranking.NewFeaturizer(), ranking.NewFeaturizer()
+	for i := range words {
+		featA.Vocab.ID("w=" + words[i])
+		featB.Vocab.ID("w=" + words[len(words)-1-i])
+	}
+	train := func(f *ranking.Featurizer) *vector.Weights {
+		m := learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: 0.01, LambdaL2: 0.5}, true)
+		for step := 0; step < 40; step++ {
+			word := words[step*3%len(words)]
+			x := vector.FromCounts(map[int32]float64{f.Vocab.ID("w=" + word): 1}).Normalize()
+			m.Step(x, float64(1-2*(step%2)))
+		}
+		return m.Weights()
+	}
+	wA, wB := train(featA), train(featB)
+	if wA.NNZ() == 0 || wA.NNZ() != wB.NNZ() {
+		t.Fatalf("nnz %d and %d, want equal and non-zero", wA.NNZ(), wB.NNZ())
+	}
+	idA, _ := featA.Vocab.Lookup("w=lava")
+	idB, _ := featB.Vocab.Lookup("w=lava")
+	if idA == idB {
+		t.Fatal("featurizers share ids; the test needs different id orders")
+	}
+	hA, hB := modelHash(wA, featA.FeatureName), modelHash(wB, featB.FeatureName)
+	if hA != hB {
+		t.Fatalf("same model under different id orders hashes %x and %x", hA, hB)
+	}
+	wB.Range(func(i int32, v float64) {
+		bumped := wB.Clone()
+		bumped.Set(i, math.Nextafter(v, math.Inf(1)))
+		if modelHash(bumped, featB.FeatureName) == hB {
+			t.Errorf("one-ulp change to %s did not change the hash", featB.FeatureName(i))
+		}
+	})
 }

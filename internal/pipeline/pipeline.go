@@ -321,7 +321,7 @@ func newRun(ctx context.Context, opts Options) *run {
 		hUpdate:       reg.Histogram(obs.MetricPipelineUpdateSeconds, nil),
 		hDetect:       reg.Histogram(obs.MetricPipelineDetectSeconds, nil),
 	}
-	if opts.Explain != nil && opts.Featurizer != nil {
+	if opts.Featurizer != nil {
 		r.featName = opts.Featurizer.FeatureName
 	}
 	// The run-started event carries the collection size and — when the
@@ -785,9 +785,9 @@ func (r *run) update() error {
 	// Journal a model snapshot at this update position; on resume this
 	// verifies (rather than re-records) and aborts on divergence instead
 	// of silently producing different results.
-	if opts.Journal != nil {
-		if nnz, sum, ok := modelHash(opts.Strategy); ok {
-			if err := opts.Journal.CheckSnapshot(len(res.Order), nnz, sum); err != nil {
+	if m, ok := opts.Strategy.(Modeler); ok && opts.Journal != nil && r.featName != nil {
+		if w := m.Model(); w != nil {
+			if err := opts.Journal.CheckSnapshot(len(res.Order), w.NNZ(), modelHash(w, r.featName)); err != nil {
 				return fmt.Errorf("pipeline: resume diverged from journal: %w", err)
 			}
 		}
@@ -955,18 +955,28 @@ func modelSupport(s Strategy) map[int32]bool {
 	return sup
 }
 
-// modelHash is an order-independent fingerprint of the model weights
-// (XOR-combined per-feature hashes: Weights.Range order must not
-// matter). Snapshots recorded in the journal at each update verify that
-// a resumed run's model evolves identically to the original.
-func modelHash(s Strategy) (nnz int, sum uint64, ok bool) {
-	m, k := s.(Modeler)
-	if !k || m.Model() == nil {
-		return 0, 0, false
-	}
-	w := m.Model()
+// modelHash is a fingerprint of the model weights that is independent
+// of both iteration order and feature ids: each weight is keyed by its
+// feature name (rank workers intern ids in scheduling order, so a resumed
+// run may number the same features differently), hashed with FNV-1a
+// together with the weight's exact bits, and the per-feature hashes are
+// XOR-combined. Snapshots recorded in the journal at each update, with
+// the model's nnz, verify that a resumed run's model evolves identically
+// to the original.
+func modelHash(w *vector.Weights, name func(int32) string) (sum uint64) {
 	w.Range(func(i int32, v float64) {
-		h := uint64(i)*0x9e3779b97f4a7c15 ^ math.Float64bits(v)
+		const prime = 1099511628211
+		h := uint64(14695981039346656037)
+		n := name(i)
+		for j := 0; j < len(n); j++ {
+			h ^= uint64(n[j])
+			h *= prime
+		}
+		bits := math.Float64bits(v)
+		for j := 0; j < 64; j += 8 {
+			h ^= (bits >> j) & 0xff
+			h *= prime
+		}
 		// splitmix64 finalizer: decorrelate before XOR-combining.
 		h ^= h >> 30
 		h *= 0xbf58476d1ce4e5b9
@@ -975,7 +985,7 @@ func modelHash(s Strategy) (nnz int, sum uint64, ok bool) {
 		h ^= h >> 31
 		sum ^= h
 	})
-	return w.NNZ(), sum, true
+	return sum
 }
 
 // explainMembers converts a ranking attribution into explain log

@@ -32,8 +32,10 @@ type FeatS struct {
 	tr       *obs.Tracer
 }
 
-// FeatSOptions configures the detector; zero fields take Section 4
-// defaults (Gaussian gamma = 0.01, tau = 0.55, check every 700 documents).
+// FeatSOptions configures the detector. Zero fields take defaults:
+// Section 4's Gaussian gamma = 0.01 and a check every 700 documents,
+// nu = 0.1, and tau = 0.15, calibrated for this one-class SVM (see
+// FeatS.Tau; the paper's 0.55 is for its own formulation).
 type FeatSOptions struct {
 	Gamma      float64
 	Nu         float64

@@ -38,6 +38,18 @@ type TopK struct {
 	// diagnostics, threshold calibration, and tests.
 	LastDistance float64
 
+	// The side classifier only changes when feed steps it on a balanced
+	// pair, and the reference list only at Reset, so the current top-K
+	// list, the distance and the decision evidence are cached and
+	// recomputed lazily (as ModC caches its angle). evStale marks the
+	// evidence as older than cur: it is only built while a recorder is
+	// enabled.
+	cur           []vector.WeightedFeature
+	dirty         bool
+	evStale       bool
+	entered, left int
+	displaced     string
+
 	// Observability hooks, nil/disabled until Instrument is called.
 	obsDist *obs.Histogram
 	rec     obs.Recorder
@@ -74,9 +86,10 @@ func NewTopK(opts TopKOptions) *TopK {
 		opts.LambdaL2 = 0.99
 	}
 	return &TopK{
-		K:    opts.K,
-		Tau:  opts.Tau,
-		side: learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: opts.LambdaAll, LambdaL2: opts.LambdaL2}, true),
+		K:     opts.K,
+		Tau:   opts.Tau,
+		side:  learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: opts.LambdaAll, LambdaL2: opts.LambdaL2}, true),
+		dirty: true,
 	}
 }
 
@@ -107,8 +120,8 @@ func (t *TopK) Prime(xs []vector.Sparse, useful []bool) {
 const topkQueueCap = 2000
 
 // feed enqueues the example and trains the side classifier on balanced
-// positive/negative pairs.
-func (t *TopK) feed(x vector.Sparse, useful bool) {
+// positive/negative pairs; it reports whether the classifier stepped.
+func (t *TopK) feed(x vector.Sparse, useful bool) (stepped bool) {
 	if useful {
 		t.qPos = append(t.qPos, x)
 		if len(t.qPos) > topkQueueCap {
@@ -125,29 +138,41 @@ func (t *TopK) feed(x vector.Sparse, useful bool) {
 		t.side.Step(t.qNeg[0], -1)
 		t.qPos = t.qPos[1:]
 		t.qNeg = t.qNeg[1:]
+		stepped = true
 	}
+	return stepped
 }
 
-// Observe implements Detector: update the side classifier with the new
-// document and compare top-K feature lists.
+// Observe implements Detector: feed the new document to the side
+// classifier and compare top-K feature lists, recomputing them only when
+// the classifier stepped or the reference was reset.
 func (t *TopK) Observe(x vector.Sparse, useful bool) bool {
-	t.feed(x, useful)
-	cur := t.side.Weights().TopK(t.K)
-	t.LastDistance = Footrule(t.ref, cur)
+	if t.feed(x, useful) {
+		t.dirty = true
+	}
+	if t.dirty {
+		t.cur = t.side.Weights().TopK(t.K)
+		t.LastDistance = Footrule(t.ref, t.cur)
+		t.evStale = true
+		t.dirty = false
+	}
 	fired := t.LastDistance > t.Tau
 	if t.obsDist != nil {
 		t.obsDist.Observe(t.LastDistance)
 	}
 	if t.rec != nil && t.rec.Enabled() {
-		entered, left, displaced := topKEvidence(t.ref, cur)
+		if t.evStale {
+			t.entered, t.left, t.displaced = topKEvidence(t.ref, t.cur)
+			t.evStale = false
+		}
 		t.rec.Record(obs.Event{Kind: obs.KindDetectorDecision, Name: t.Name(),
 			Val: t.LastDistance, Fired: fired, Span: t.tr.ScopeID(),
 			Attrs: []obs.Attr{
 				{Key: obs.EvidenceThreshold, Num: t.Tau},
 				{Key: obs.EvidenceK, Num: float64(t.K)},
-				{Key: obs.EvidenceEntered, Num: float64(entered)},
-				{Key: obs.EvidenceLeft, Num: float64(left)},
-				{Key: obs.EvidenceDisplaced, Str: displaced},
+				{Key: obs.EvidenceEntered, Num: float64(t.entered)},
+				{Key: obs.EvidenceLeft, Num: float64(t.left)},
+				{Key: obs.EvidenceDisplaced, Str: t.displaced},
 			}})
 	}
 	return fired
@@ -211,11 +236,10 @@ func topKEvidence(ref, cur []vector.WeightedFeature) (entered, left int, displac
 	return entered, left, strings.Join(parts, ",")
 }
 
-// Reset implements Detector: re-baseline the reference list.
+// Reset implements Detector: re-baseline the reference list. The cached
+// distance was measured against the old reference, so it is recomputed
+// on the next Observe.
 func (t *TopK) Reset() {
 	t.ref = t.side.Weights().TopK(t.K)
+	t.dirty = true
 }
-
-// SideModel exposes the side classifier (used by the search-interface
-// scenario diagnostics and tests).
-func (t *TopK) SideModel() *learn.OnlineSVM { return t.side }
